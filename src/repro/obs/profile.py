@@ -138,9 +138,24 @@ def render_profile(observer: Observer, title: str = "qir profile") -> str:
     # -- scheduler (execute phase) --------------------------------------------
     sched_runs = _labeled(counters, "runtime.scheduler.runs", "scheduler")
     sched_falls = _labeled(counters, "runtime.scheduler.batched_fallback", "reason")
+    fast_declines = _labeled(counters, "runtime.fastpath.decline", "reason")
+    auto_choices: Dict[Tuple[str, str], object] = {}
+    for key in list(counters):
+        base, labels = parse_metric_key(key)
+        if base == "runtime.scheduler.auto":
+            choice = (labels.get("choice", "?"), labels.get("reason", "?"))
+            auto_choices[choice] = counters.pop(key)
     sched_lines: List[str] = []
     for name in sorted(sched_runs):
         sched_lines.append(f"  runs[{name}]{'':<14}{_fmt(sched_runs[name])}")
+    for reason in sorted(fast_declines):
+        sched_lines.append(
+            f"  fast path declined x{_fmt(fast_declines[reason])}: {reason}"
+        )
+    for choice, reason in sorted(auto_choices):
+        sched_lines.append(
+            f"  auto chose {choice} x{_fmt(auto_choices[choice, reason])}: {reason}"
+        )
     for key in sorted(k for k in list(counters) if k.startswith("runtime.scheduler.")):
         short = key[len("runtime.scheduler."):]
         sched_lines.append(f"  {short:<22}{_fmt(counters.pop(key))}")

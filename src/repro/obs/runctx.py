@@ -79,7 +79,7 @@ class RunContext:
 
     run_id: str = field(default_factory=new_run_id)
     plan_key: Optional[str] = None
-    scheduler: str = "serial"
+    scheduler: str = "auto"
     backend: str = "statevector"
     jobs: int = 1
     entry: Optional[str] = None

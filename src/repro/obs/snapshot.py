@@ -83,6 +83,37 @@ def measure(
     return TimingStats(tuple(samples))
 
 
+def measure_interleaved(
+    arms: Dict[str, Callable[[], object]],
+    rounds: int = 5,
+    warmup: int = 1,
+    clock: Callable[[], float] = perf_counter,
+) -> Dict[str, TimingStats]:
+    """Interleaved wall timing of several arms (A B C, B C A, C A B, ...).
+
+    Each round times every arm once, so drift in machine load lands on
+    all arms alike instead of on whichever arm ran last; the order
+    rotates from round to round so no arm always runs first or after
+    the same neighbour.  ``warmup`` un-timed rounds run first.  Compare arms by their medians: a ratio of two medians
+    over interleaved rounds is stable where two back-to-back single
+    samples are not.
+    """
+    if rounds < 1:
+        raise ValueError("measure_interleaved() needs rounds >= 1")
+    for _ in range(warmup):
+        for fn in arms.values():
+            fn()
+    names = list(arms)
+    samples: Dict[str, list] = {name: [] for name in names}
+    for index in range(rounds):
+        shift = index % len(names)
+        for name in names[shift:] + names[:shift]:
+            start = clock()
+            arms[name]()
+            samples[name].append(clock() - start)
+    return {name: TimingStats(tuple(samples[name])) for name in names}
+
+
 def environment_fingerprint() -> Dict[str, object]:
     """Host/interpreter identity attached to every snapshot.
 
@@ -151,6 +182,12 @@ class BenchRecord:
             metadata=dict(metadata),
         )
 
+    @property
+    def key(self) -> str:
+        if "width" in self.metadata:
+            return f"{self.name}{{width={self.metadata['width']}}}"
+        return self.name
+
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "name": self.name,
@@ -203,14 +240,16 @@ class BenchSnapshot:
         return self.add(BenchRecord(name=name, value=value, unit=unit, **kwargs))
 
     def by_name(self) -> Dict[str, BenchRecord]:
-        return {r.name: r for r in self.records}
+        """Records keyed for diffing: the name, plus ``{width=W}`` for the
+        cells of a width sweep (several records sharing one name)."""
+        return {r.key: r for r in self.records}
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema_version": self.schema_version,
             "group": self.group,
             "environment": self.environment,
-            "records": [r.to_dict() for r in sorted(self.records, key=lambda r: r.name)],
+            "records": [r.to_dict() for r in sorted(self.records, key=lambda r: r.key)],
         }
 
     @classmethod

@@ -61,7 +61,9 @@ from repro.runtime.dispatch import (
     partition_shots,
 )
 from repro.runtime.schedulers import (
+    AUTO_BATCHED_MAX_QUBITS,
     SCHEDULERS,
+    AutoScheduler,
     BatchedScheduler,
     ProcessScheduler,
     SerialScheduler,
@@ -117,6 +119,8 @@ __all__ = [
     "content_hash",
     "plan_key",
     "SCHEDULERS",
+    "AUTO_BATCHED_MAX_QUBITS",
+    "AutoScheduler",
     "SerialScheduler",
     "ThreadedScheduler",
     "BatchedScheduler",

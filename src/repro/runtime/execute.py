@@ -11,11 +11,13 @@ Architecturally this module is now a thin front over the two-phase stack:
   frozen :class:`~repro.runtime.plan.ExecutionPlan` (``run_shots`` accepts
   one anywhere it accepts source, skipping the frontend entirely);
 * the **execute phase** (:mod:`repro.runtime.schedulers`) runs the shots
-  through a pluggable :class:`ShotScheduler` -- ``serial`` (default),
-  ``threaded`` (``jobs=N`` workers), ``batched`` (one vectorised
-  statevector evolution), or ``process`` (``jobs=N`` worker processes
-  fed serialized plans) -- all of which reproduce identical ``counts``
-  for the same ``seed=`` thanks to spawned per-shot seeding.
+  through a pluggable :class:`ShotScheduler` -- ``auto`` (default:
+  batched for plans at most ``AUTO_BATCHED_MAX_QUBITS`` wide, serial
+  otherwise), ``serial``, ``threaded`` (``jobs=N`` workers), ``batched``
+  (one vectorised statevector evolution), or ``process`` (``jobs=N``
+  worker processes fed serialized plans) -- all of which reproduce
+  identical ``counts`` for the same ``seed=`` thanks to spawned per-shot
+  seeding.
 
 For cross-call caching of parsed modules and compiled plans, use
 :class:`repro.runtime.session.QirSession`.
@@ -103,8 +105,10 @@ class QirRuntime:
     >>> counts = rt.run_shots(qir_text, shots=1000).counts
 
     ``scheduler``/``jobs`` pick the default execute-phase strategy for
-    ``run_shots`` (overridable per call): ``serial``, ``threaded``
-    (``jobs`` workers), or ``batched`` (vectorised multi-shot evolution).
+    ``run_shots`` (overridable per call): ``auto`` (the default; see
+    :class:`~repro.runtime.schedulers.AutoScheduler`), ``serial``,
+    ``threaded`` (``jobs`` workers), ``batched`` (vectorised multi-shot
+    evolution) or ``process`` (``jobs`` worker processes).
     """
 
     def __init__(
@@ -116,7 +120,7 @@ class QirRuntime:
         allow_on_the_fly_qubits: bool = True,
         noise: Optional[NoiseModel] = None,
         observer=None,
-        scheduler: str = "serial",
+        scheduler: str = "auto",
         jobs: int = 1,
         fusion: bool = True,
         dist_cache: bool = True,
@@ -203,7 +207,10 @@ class QirRuntime:
         ``scheduler`` / ``jobs`` override the runtime's default execute
         strategy for this call.  The ``batched`` scheduler never takes the
         sampling fast path (it exists for the programs the fast path
-        rejects), so ``sampling="require"`` with it raises.  The
+        rejects), so ``sampling="require"`` with it raises.  ``auto``
+        tries the sampling tiers first and, when they decline, batches
+        plans at most ``AUTO_BATCHED_MAX_QUBITS`` wide; ``result.scheduler``
+        reports what ran (``batched`` or ``serial``).  The
         ``process`` scheduler ships the compiled plan to worker processes
         as :meth:`ExecutionPlan.to_bytes` payloads; raw text/``Module``
         programs are compiled (without re-verification) to make one.
@@ -271,8 +278,14 @@ class QirRuntime:
                 result = self._run_shots_impl(
                     program, shots, entry, keep_stats, sampling,
                     retry, fault_plan, fallback, collect_failures, sched, run_id,
+                    span,
                 )
                 span.tag("fast_path", result.used_fast_path)
+                if not result.used_fast_path:
+                    span.tag("scheduler.resolved", result.scheduler)
+                    reason = getattr(sched, "reason", None)
+                    if reason is not None:
+                        span.tag("scheduler.reason", reason)
         else:
             result = self._run_shots_impl(
                 program, shots, entry, keep_stats, sampling,
@@ -290,6 +303,12 @@ class QirRuntime:
                 path = "runtime.shots.per_shot"
             obs.inc(path, shots)
             obs.inc("runtime.scheduler.runs", scheduler=result.scheduler)
+            if sched.name == "auto" and not result.used_fast_path:
+                obs.inc(
+                    "runtime.scheduler.auto",
+                    choice=result.scheduler,
+                    reason=sched.reason,
+                )
             obs.observe("runtime.run_seconds", result.wall_seconds)
             if result.wall_seconds > 0:
                 obs.set_gauge("runtime.shots_per_second", result.shots_per_second)
@@ -308,6 +327,7 @@ class QirRuntime:
         collect_failures: bool,
         sched,
         run_id: str = "",
+        span=None,
     ) -> ShotsResult:
         plan = program if isinstance(program, ExecutionPlan) else None
         if plan is not None and entry is None:
@@ -382,9 +402,13 @@ class QirRuntime:
                 return ShotsResult(
                     counts=_sorted_counts(counts), shots=shots, used_fast_path=True
                 )
-            except FastPathUnsupported:
+            except FastPathUnsupported as decline:
                 if sampling == "require":
                     raise
+                if span is not None:
+                    span.tag("fastpath.decline", str(decline))
+                if obs.enabled:
+                    obs.inc("runtime.fastpath.decline", reason=str(decline))
         elif sampling == "require" and not resilient:
             raise FastPathUnsupported(
                 "sampling fast path requires the statevector backend, no "
@@ -405,7 +429,7 @@ class QirRuntime:
             chain = FallbackChain([BackendLevel(self.backend_name, noisy=True)])
 
         required_qubits = plan.required_qubits if plan is not None else None
-        if required_qubits is None and sched.name == "batched":
+        if required_qubits is None and sched.name in ("batched", "auto"):
             required_qubits = _analyze_entry(module, entry)[2]
 
         # Process workers need the program as bytes.  A compiled plan
@@ -437,6 +461,7 @@ class QirRuntime:
             schedule=(
                 plan.fused if plan is not None and self.fusion else None
             ),
+            plan=plan if plan is not None and entry == plan.entry else None,
         )
         outcomes = sched.run(task)
         effective = getattr(sched, "effective", sched.name)

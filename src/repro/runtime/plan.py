@@ -104,14 +104,15 @@ def _resolve_pipeline(pipeline: PipelineLike) -> Tuple[Optional[str], Optional[C
     return str(pipeline), factory
 
 
-class _DistributionCell:
+class _MemoCell:
     """One mutable slot inside the otherwise-frozen plan.  Kept out of
-    equality/repr; exists so a warm distribution can attach to a plan
-    already held by session caches without rebuilding it."""
+    equality/repr; exists so a run can memoize what it learned (a warm
+    distribution, a batched decline) on a plan already held by session
+    caches without rebuilding it."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Optional[SampledDistribution] = None):
+    def __init__(self, value: object = None):
         self.value = value
 
 
@@ -147,8 +148,14 @@ class ExecutionPlan:
     #: Mutable cell holding the memoized sampling distribution.  The plan
     #: itself stays frozen; the cell fills in at most once, after the
     #: first successful fast-path run (see :meth:`attach_distribution`).
-    _dist: "_DistributionCell" = field(
-        default_factory=lambda: _DistributionCell(), compare=False, repr=False
+    _dist: "_MemoCell" = field(
+        default_factory=_MemoCell, compare=False, repr=False
+    )
+    #: Mutable cell holding why a batched run of this plan aborted (e.g.
+    #: ``"feedback"``), so later batched or auto requests go straight to
+    #: the per-shot loop.  In memory only: never serialized.
+    _batched_decline: "_MemoCell" = field(
+        default_factory=_MemoCell, compare=False, repr=False
     )
 
     @property
@@ -164,6 +171,15 @@ class ExecutionPlan:
         the first attachment wins; the plan's identity never changes)."""
         if self._dist.value is None:
             self._dist.value = distribution
+
+    @property
+    def batched_decline(self) -> Optional[str]:
+        return self._batched_decline.value
+
+    def note_batched_decline(self, reason: str) -> None:
+        """Memoize why a batched run aborted (the first reason wins)."""
+        if self._batched_decline.value is None:
+            self._batched_decline.value = reason
 
     def describe(self) -> str:
         parts = [
@@ -298,7 +314,7 @@ class ExecutionPlan:
                     if backend == "statevector"
                     else None
                 ),
-                _dist=_DistributionCell(distribution),
+                _dist=_MemoCell(distribution),
             )
         except KeyError as error:
             raise PlanDecodeError(f"serialized plan is missing {error}") from error

@@ -17,6 +17,10 @@ turns "run N shots of this module" into per-shot tasks:
   gates after measurement).  Programs with *classical feedback* on a
   measurement abort with :class:`BatchedUnsupported` and fall back to the
   per-shot loop;
+* :class:`AutoScheduler` -- the default: a :class:`BatchedScheduler`
+  that only batches plans at most :data:`AUTO_BATCHED_MAX_QUBITS` wide
+  (and runs the serial loop otherwise).  Like every scheduler except
+  ``batched`` it runs only after the sampling tiers declined;
 * :class:`ProcessScheduler` -- N worker *processes* draining the same
   chunk queue (the supervisor drains it into pool waves; the executor's
   idle processes self-schedule the chunks within a wave), for the
@@ -55,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -89,7 +93,16 @@ from repro.sim.noise import NoiseModel, NoisyBackend
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
 
-SCHEDULERS = ("serial", "threaded", "batched", "process")
+if TYPE_CHECKING:
+    from repro.runtime.plan import ExecutionPlan
+
+SCHEDULERS = ("auto", "serial", "threaded", "batched", "process")
+
+#: Widest plan (``required_qubits``) the ``auto`` scheduler batches.
+#: Backed by the ``runtime.scheduler.auto_ratio`` sweep of ``qir-bench
+#: run`` (reset_chain_qir, 2 vCPUs): batched runs about 1.9x serial at 8
+#: qubits, 1.3-1.5x at 10 and 1.03-1.2x at 12, but 0.9x at 14.
+AUTO_BATCHED_MAX_QUBITS = 12
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
@@ -113,9 +126,18 @@ def fastpath_sequence(root: np.random.SeedSequence) -> np.random.SeedSequence:
         entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (_FASTPATH_KEY,)
     )
 
-#: Overall amplitude budget for one batched chunk (~128 MiB of complex128).
-_BATCH_AMPLITUDE_BUDGET = 1 << 23
+#: Overall amplitude budget for one batched chunk (4 MiB of complex128).
+#: Chunks that outgrow the core's cache lose to the per-shot loop: on
+#: reset_chain_qir(12) at 800 shots, a 128 MiB budget ran 0.6x serial
+#: and this one 1.03x (2 vCPUs, 2 MiB L2 per core).
+_BATCH_AMPLITUDE_BUDGET = 1 << 18
 _BATCH_CHUNK_CAP = 1024
+#: Members in the first chunk of an interpreted batch.  A program that
+#: cannot run batched aborts in its first chunk (every chunk walks the
+#: same instruction stream), so a small first chunk caps what a doomed
+#: attempt throws away: teleportation at 500 shots aborted after ~15 ms
+#: of batch work without it and ~1 ms with it.
+_BATCH_PROBE_MEMBERS = 8
 
 
 def shot_sequence(
@@ -711,6 +733,9 @@ class ShotTask:
     #: Fused kernel schedule from the plan's specialization pass; ``None``
     #: disables fusion for this run (not specializable, or --no-fusion).
     schedule: Optional[FusedProgram] = None
+    #: The compiled plan being run, when there is one for this entry: the
+    #: batched schedulers read and write its batched-decline memo.
+    plan: Optional["ExecutionPlan"] = None
 
     def run_one(self, shot: int) -> ShotOutcome:
         # Outcome stats are kept whenever the run is profiled (the merge
@@ -1615,33 +1640,49 @@ class BatchedScheduler:
     dynamic `m`-style results -- the attempt aborts with
     :class:`BatchedUnsupported` and the task falls back to the per-shot
     path, so batched execution is sound by construction (the same
-    optimistic-abort design as the sampling fast path).
+    optimistic-abort design as the sampling fast path).  The abort reason
+    is memoized on the task's plan, so later runs of that plan skip the
+    doomed partial batch and go straight to the per-shot loop.
     """
 
     name = "batched"
     jobs = 1
+    #: ``reason`` reported when the batch runs (see :class:`AutoScheduler`).
+    chosen_reason: Optional[str] = None
 
     def __init__(self) -> None:
         #: What actually ran: stays "batched" on success, flips to
         #: "serial" when the task was ineligible or the batch aborted.
         self.effective = "batched"
+        #: Why the per-shot phase ran as it did (the ``scheduler.reason``
+        #: span tag); ``None`` when a requested batch simply ran.
+        self.reason: Optional[str] = None
 
     def run(self, task: ShotTask) -> List[ShotOutcome]:
-        executor = task.executor
-        obs = executor.observer
+        obs = task.executor.observer
         reason = self._ineligible_reason(task)
+        # Static declines count as fallbacks only when batching was asked
+        # for; auto's choices land in runtime.scheduler.auto instead.
+        counted = reason is not None and self.name == "batched"
+        if reason is None and task.plan is not None:
+            reason = task.plan.batched_decline  # no re-attempt, no count
         if reason is None:
             try:
-                return run_batched(task)
+                outcomes = run_batched(task)
+                self.reason = self.chosen_reason
+                return outcomes
             except BatchedUnsupported as abort:
                 reason = str(abort)
-        if obs.enabled:
+                counted = True
+                if task.plan is not None:
+                    task.plan.note_batched_decline(reason)
+        if counted and obs.enabled:
             obs.inc("runtime.scheduler.batched_fallback", reason=reason)
+        self.reason = reason
         self.effective = "serial"
         return SerialScheduler().run(task)
 
-    @staticmethod
-    def _ineligible_reason(task: ShotTask) -> Optional[str]:
+    def _ineligible_reason(self, task: ShotTask) -> Optional[str]:
         executor = task.executor
         if executor.backend_name != "statevector":
             return "non-statevector backend"
@@ -1651,6 +1692,32 @@ class BatchedScheduler:
             return "per-shot resilience"
         if task.keep_stats:
             return "keep_stats"
+        return None
+
+
+class AutoScheduler(BatchedScheduler):
+    """The default scheduler: batch narrow plans, run wide ones serially.
+
+    The runtime tries the warm-distribution and sampling tiers first, as
+    for every scheduler but ``batched``; this class only decides the
+    per-shot phase.  A plan whose ``required_qubits`` is known and at
+    most :data:`AUTO_BATCHED_MAX_QUBITS` goes through the batched path
+    (with its eligibility checks and abort-to-serial fallback); anything
+    else runs the serial loop.  ``effective`` reports what ran and
+    ``reason`` why.  Never spawns workers.
+    """
+
+    name = "auto"
+    chosen_reason = f"width<={AUTO_BATCHED_MAX_QUBITS}"
+
+    def _ineligible_reason(self, task: ShotTask) -> Optional[str]:
+        reason = super()._ineligible_reason(task)
+        if reason is not None:
+            return reason
+        if task.required_qubits is None:
+            return "unknown width"
+        if task.required_qubits > AUTO_BATCHED_MAX_QUBITS:
+            return f"width>{AUTO_BATCHED_MAX_QUBITS}"
         return None
 
 
@@ -1668,7 +1735,7 @@ def get_scheduler(
     scheduler's supervisor and are rejected for every other scheduler
     (there are no worker processes to supervise).  ``chunk_shots`` /
     ``min_chunk_shots`` tune the work queue's chunk sizing and are
-    rejected for the serial and batched schedulers (no queue there).
+    rejected for the auto, serial and batched schedulers (no queue there).
     """
     if name not in SCHEDULERS:
         raise ValueError(
@@ -1690,13 +1757,13 @@ def get_scheduler(
             "chunk sizing options (chunk_shots / min_chunk_shots) require "
             "the threaded or process scheduler"
         )
-    if name == "serial":
+    if name in ("serial", "auto"):
         if jobs > 1:
             raise ValueError(
-                "jobs > 1 requires --scheduler threaded (serial runs one shot "
-                "at a time)"
+                "jobs > 1 requires --scheduler threaded or process (serial "
+                "runs one shot at a time; auto never spawns workers)"
             )
-        return SerialScheduler()
+        return SerialScheduler() if name == "serial" else AutoScheduler()
     if name == "threaded":
         return ThreadedScheduler(
             jobs=max(2, jobs) if jobs > 1 else 2,
@@ -1720,7 +1787,12 @@ def get_scheduler(
 
 
 class BatchedUnsupported(Exception):
-    """Raised mid-execution when the program cannot run as one batch."""
+    """Raised mid-execution when the program cannot run as one batch.
+
+    The message is a short reason label (``feedback``, ``dynamic
+    results``): it becomes the ``batched_fallback`` counter label, the
+    ``scheduler.reason`` span tag and the plan's batched-decline memo.
+    """
 
 
 class BatchedResultStore(ResultStore):
@@ -1730,17 +1802,17 @@ class BatchedResultStore(ResultStore):
     tolerated -- mirroring the sampling fast path's DeferredResultStore."""
 
     def new_dynamic(self, value):  # noqa: D102 - see class docstring
-        raise BatchedUnsupported("dynamic (m-style) results")
+        raise BatchedUnsupported("dynamic results")
 
     def write(self, pointer: object, value) -> None:
         if not isinstance(pointer, IntPtr):
-            raise BatchedUnsupported("dynamic result pointers")
+            raise BatchedUnsupported("dynamic results")
         super().write(pointer, value)
 
     def read(self, pointer: object):
         value = super().read(pointer)
         if isinstance(value, np.ndarray):
-            raise BatchedUnsupported("program feeds back on a measurement result")
+            raise BatchedUnsupported("feedback")
         return value
 
     def read_default(self, pointer: object, default: int = 0) -> int:
@@ -1779,6 +1851,8 @@ def run_batched(task: ShotTask) -> List[ShotOutcome]:
 
     Member ``i`` of the batch draws from the same spawned seed the serial
     scheduler would hand shot ``i``'s backend, so counts are identical.
+    An interpreted run opens with a chunk of at most
+    ``_BATCH_PROBE_MEMBERS`` members (see there).
     """
     executor = task.executor
     obs = executor.observer
@@ -1787,6 +1861,8 @@ def run_batched(task: ShotTask) -> List[ShotOutcome]:
     start = 0
     while start < task.shots:
         size = min(chunk_size, task.shots - start)
+        if start == 0 and task.schedule is None:
+            size = min(size, _BATCH_PROBE_MEMBERS)
         seeds = [
             shot_sequence(task.root, start + member, 0) for member in range(size)
         ]

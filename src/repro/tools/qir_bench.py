@@ -40,7 +40,13 @@ from repro.obs.regress import (
     diff_snapshots,
 )
 from repro.obs.runctx import new_run_id
-from repro.obs.snapshot import BenchRecord, BenchSnapshot, TimingStats, measure
+from repro.obs.snapshot import (
+    BenchRecord,
+    BenchSnapshot,
+    TimingStats,
+    measure,
+    measure_interleaved,
+)
 from repro.passes.manager import BudgetBust, budgets_from_specs
 from repro.passes.pipeline import o1_pipeline, unroll_pipeline
 from repro.runtime.execute import (
@@ -239,26 +245,22 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
 
     ``reset_chain_qir`` is the non-Clifford mid-circuit-reset workload the
     sampling fast path rejects, so every scheduler really pays per-shot
-    cost -- the regression gate watches that threaded and batched keep
-    beating serial on it.
+    cost -- the regression gate watches that batched keeps beating serial
+    on it.  The parallel schedulers and the auto scheduler are measured
+    at the widths where their claims live (see below).
     """
     text = reset_chain_qir(3, rounds=3)
-    jobs = max(2, min(4, os.cpu_count() or 2))
 
-    def timed(scheduler: str, jobs: int = 1) -> TimingStats:
+    def timed(scheduler: str) -> TimingStats:
         runtime = QirRuntime(seed=7)
         plan = QirSession(runtime=runtime).compile(text)
         return measure(
-            lambda: runtime.run_shots(
-                plan, shots=shots, scheduler=scheduler, jobs=jobs
-            ),
+            lambda: runtime.run_shots(plan, shots=shots, scheduler=scheduler),
             repeats=repeats,
         )
 
     serial = timed("serial")
-    threaded = timed("threaded", jobs=jobs)
     batched = timed("batched")
-    process = timed("process", jobs=jobs)
 
     snapshot.add(
         BenchRecord.from_stats(
@@ -273,13 +275,6 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
             unit="shots/sec", direction="higher", k=repeats,
             metadata={"shots": shots},
         )
-    if threaded.median > 0:
-        snapshot.record(
-            "runtime.scheduler.threaded_speedup",
-            serial.median / threaded.median,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": shots, "jobs": jobs},
-        )
     if batched.median > 0:
         snapshot.record(
             "runtime.scheduler.batched_speedup",
@@ -287,17 +282,109 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
             unit="ratio", direction="higher", k=repeats,
             metadata={"shots": shots},
         )
-    if process.median > 0:
-        # The GIL-escape number: on multi-core machines this should beat
-        # threaded_speedup for this interpreter-bound workload (the CI
-        # perf gate asserts exactly that); single-core machines see ~1
-        # or below because pool startup has nothing to amortise against.
-        snapshot.record(
-            "runtime.scheduler.process_speedup",
-            serial.median / process.median,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": shots, "jobs": jobs},
+    _bench_parallel_schedulers(snapshot, shots, repeats)
+    _bench_auto_sweep(snapshot, repeats)
+
+
+#: Register width of the parallel-scheduler workload.  Process workers
+#: beat serial 1.9-2x from 16 qubits up on 2 workers; at 4 qubits both
+#: parallel ratios sit below 1 and their order flips from run to run.
+PARALLEL_QUBITS = 16
+
+
+def _bench_parallel_schedulers(
+    snapshot: BenchSnapshot, shots: int, repeats: int
+) -> None:
+    """``threaded_speedup`` and ``process_speedup`` over serial at 2 jobs.
+
+    The three arms run interleaved (serial, threaded, process, serial,
+    ...) for at least 3 rounds and each ratio is a ratio of medians, so
+    the CI comparison of the two ratios is not a comparison of two
+    single samples.
+    """
+    jobs = 2
+    runtime = QirRuntime(seed=7)
+    plan = QirSession(runtime=runtime).compile(
+        reset_chain_qir(PARALLEL_QUBITS, rounds=3)
+    )
+    n = max(2 * jobs, shots // 4)
+
+    def arm(scheduler: str, workers: int) -> Callable[[], object]:
+        return lambda: runtime.run_shots(
+            plan, shots=n, sampling="never", scheduler=scheduler, jobs=workers
         )
+
+    rounds = max(3, repeats)
+    stats = measure_interleaved(
+        {
+            "serial": arm("serial", 1),
+            "threaded": arm("threaded", jobs),
+            "process": arm("process", jobs),
+        },
+        rounds=rounds,
+    )
+    for name in ("threaded", "process"):
+        if stats[name].median > 0:
+            snapshot.record(
+                f"runtime.scheduler.{name}_speedup",
+                stats["serial"].median / stats[name].median,
+                unit="ratio", direction="higher", k=rounds,
+                metadata={"shots": n, "jobs": jobs, "qubits": PARALLEL_QUBITS},
+            )
+
+
+#: Widths of the auto-scheduler sweep; they straddle
+#: ``AUTO_BATCHED_MAX_QUBITS`` so both sides of the choice are timed.
+AUTO_SWEEP_WIDTHS = (4, 8, 10, 12, 14)
+
+#: Shots per sweep cell are doubled until the faster fixed arm takes at
+#: least this long, so timer resolution never decides a ratio.
+_AUTO_ARM_SECONDS = 0.05
+
+
+def _bench_auto_sweep(snapshot: BenchSnapshot, repeats: int) -> None:
+    """``runtime.scheduler.auto_ratio`` per width on ``reset_chain_qir``.
+
+    Each cell is the faster fixed scheduler's median wall time (serial or
+    batched) over auto's, from interleaved auto/serial/batched rounds
+    (median of at least 12): 1.0 means auto picked the winner, and CI
+    holds every cell at >= 0.95.  This sweep is the evidence behind
+    ``AUTO_BATCHED_MAX_QUBITS``.
+    """
+    rounds = max(12, repeats)  # every arm four times in each position
+    for width in AUTO_SWEEP_WIDTHS:
+        runtime = QirRuntime(seed=7)
+        plan = QirSession(runtime=runtime).compile(reset_chain_qir(width, rounds=3))
+
+        def arm(scheduler: str, n: int) -> Callable[[], object]:
+            return lambda: runtime.run_shots(plan, shots=n, scheduler=scheduler)
+
+        def once(fn: Callable[[], object]) -> float:
+            return measure(fn, repeats=1, warmup=0).median
+
+        n = 8
+        while min(once(arm("serial", n)), once(arm("batched", n))) < _AUTO_ARM_SECONDS:
+            n *= 2
+        stats = measure_interleaved(
+            {name: arm(name, n) for name in ("auto", "serial", "batched")},
+            rounds=rounds,
+        )
+        best = min(stats["serial"].median, stats["batched"].median)
+        choice = runtime.run_shots(plan, shots=1, scheduler="auto").scheduler
+        if stats["auto"].median > 0:
+            snapshot.record(
+                "runtime.scheduler.auto_ratio",
+                best / stats["auto"].median,
+                unit="ratio", direction="higher", k=rounds,
+                metadata={
+                    "width": width,
+                    "shots": n,
+                    "choice": choice,
+                    "auto_seconds": stats["auto"].median,
+                    "serial_seconds": stats["serial"].median,
+                    "batched_seconds": stats["batched"].median,
+                },
+            )
 
 
 def _bench_supervision(snapshot: BenchSnapshot, shots: int, repeats: int) -> None:

@@ -25,7 +25,14 @@ from typing import List, Optional
 from repro.obs.cli import add_observability_args, emit_observability, observer_from_args
 from repro.resilience import FallbackChain, FaultPlan, RetryPolicy, ShotFailure
 from repro.resilience.report import render_timing_line
-from repro.runtime import QirRuntime, QirRuntimeError, QirSession, TrapError
+from repro.runtime import (
+    AUTO_BATCHED_MAX_QUBITS,
+    SCHEDULERS,
+    QirRuntime,
+    QirRuntimeError,
+    QirSession,
+    TrapError,
+)
 from repro.sim import NoiseModel
 
 EXIT_OK = 0
@@ -69,9 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(same names as qir-opt --pipeline)")
     execution = parser.add_argument_group("execution")
     execution.add_argument("--scheduler",
-                           choices=["serial", "threaded", "batched", "process"],
-                           default="serial",
-                           help="shot scheduler: serial (default), threaded "
+                           choices=SCHEDULERS,
+                           default="auto",
+                           help="shot scheduler: auto (default; after the "
+                                "sampling fast path declines, batched for "
+                                f"plans of at most {AUTO_BATCHED_MAX_QUBITS} "
+                                "qubits, serial otherwise), serial, threaded "
                                 "(--jobs worker threads), batched (vectorised "
                                 "multi-shot statevector evolution), or process "
                                 "(--jobs worker processes fed serialized plans)")
@@ -157,10 +167,11 @@ def _run(args: argparse.Namespace, observer) -> int:
     if args.jobs < 1:
         print("qir-run: error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_PARSE
-    if args.jobs > 1 and args.scheduler == "serial":
+    if args.jobs > 1 and args.scheduler in ("auto", "serial"):
         print(
-            "qir-run: error: --jobs > 1 requires --scheduler threaded "
-            "(the serial scheduler runs one shot at a time)",
+            "qir-run: error: --jobs > 1 requires --scheduler threaded or "
+            "process (serial runs one shot at a time; auto never spawns "
+            "workers)",
             file=sys.stderr,
         )
         return EXIT_PARSE

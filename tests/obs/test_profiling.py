@@ -90,7 +90,10 @@ class TestRuntimeProfiling:
     def test_per_shot_histogram_and_intrinsic_counters(self):
         observer = Observer()
         runtime = QirRuntime(seed=3, observer=observer)
-        runtime.run_shots(ghz_qir(3, addressing="static"), shots=7, sampling="never")
+        runtime.run_shots(
+            ghz_qir(3, addressing="static"), shots=7, sampling="never",
+            scheduler="serial",
+        )
         snapshot = observer.snapshot()
         assert snapshot["histograms"]["runtime.shot_seconds"]["count"] == 7
         counters = snapshot["counters"]

@@ -53,7 +53,7 @@ class TestRunContext:
     def test_defaults_mint_an_id(self):
         context = RunContext()
         assert is_run_id(context.run_id)
-        assert context.scheduler == "serial"
+        assert context.scheduler == "auto"
         assert context.plan_key is None
 
     def test_frozen(self):
@@ -70,7 +70,7 @@ class TestRunContext:
         assert updated.scheduler == "process"
         assert updated.jobs == 4
         # The original is untouched (frozen + replace semantics).
-        assert context.scheduler == "serial"
+        assert context.scheduler == "auto"
 
     def test_short_id_is_suffix(self):
         context = RunContext()

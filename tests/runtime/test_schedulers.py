@@ -1,9 +1,12 @@
 """The execute phase: scheduler selection, determinism, and resilience
 semantics under concurrency (serial / threaded / batched)."""
 
+import numpy as np
 import pytest
 
 from repro.obs.observer import Observer
+from repro.qir.builder import SimpleModule
+from repro.qir.profiles import AdaptiveProfile
 from repro.resilience import (
     FallbackChain,
     FaultPlan,
@@ -11,8 +14,12 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.runtime import (
+    AUTO_BATCHED_MAX_QUBITS,
+    AutoScheduler,
     BatchedScheduler,
     QirRuntime,
+    compile_plan,
+    QirSession,
     SerialScheduler,
     ThreadedScheduler,
     get_scheduler,
@@ -21,7 +28,14 @@ from repro.runtime import (
 from repro.runtime.errors import BackendFaultError
 from repro.runtime.sampling_fastpath import FastPathUnsupported
 from repro.runtime.schedulers import batch_chunk_size
-from repro.workloads.qir_programs import bell_qir, ghz_qir, qft_qir, reset_chain_qir
+from repro.workloads.qec import repetition_code_qir, teleportation_qir
+from repro.workloads.qir_programs import (
+    bell_qir,
+    counted_loop_qir,
+    ghz_qir,
+    qft_qir,
+    reset_chain_qir,
+)
 
 FEEDBACK_PROGRAM = """
 define void @main() #0 {
@@ -47,6 +61,47 @@ attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"
 """
 
 
+def reset_rounds_qir(width, seed, rounds=3):
+    """Seeded reset-round circuit: per round, a rotation on every qubit and
+    a cz/cnot on disjoint random pairs, then measure and reset every
+    qubit.  No feedback, but gates after measurement defeat the fast path."""
+    rng = np.random.default_rng(seed)
+    sm = SimpleModule(
+        "reset_rounds", width, width, addressing="static", profile=AdaptiveProfile
+    )
+    for index in range(rounds):
+        for q in range(width):
+            gate = "ry" if rng.random() < 0.6 else "rz"
+            sm.qis.gate(gate, [q], [float(rng.uniform(0.1, 3.0))])
+        order = [int(q) for q in rng.permutation(width)]
+        for a, b in zip(order[::2], order[1::2]):
+            sm.qis.gate("cz" if rng.random() < 0.5 else "cnot", [a, b], [])
+        for q in range(width):
+            sm.qis.mz(q, q)
+        if index < rounds - 1:
+            for q in range(width):
+                sm.qis.reset(q)
+    sm.record_output()
+    return sm.ir()
+
+
+#: (program, required width, reads a measurement result, straight-line)
+#: -- reset-round widths straddle the auto scheduler's crossover.
+DIFFERENTIAL_CASES = [
+    pytest.param(bell_qir("static"), 2, False, True, id="bell"),
+    pytest.param(qft_qir(3), 3, False, True, id="qft3"),
+    pytest.param(qft_qir(6), 6, False, True, id="qft6"),
+    pytest.param(reset_chain_qir(2, rounds=2), 2, False, False, id="reset_chain2"),
+    pytest.param(reset_chain_qir(), 2, False, False, id="reset_chain"),
+    *[
+        pytest.param(reset_rounds_qir(w, seed=w), w, False, False, id=f"reset_rounds{w}")
+        for w in (2, 4, 6, 8, 10, 12, 13, 14)
+    ],
+    pytest.param(repetition_code_qir(5, rounds=3), 9, True, False, id="repetition5"),
+    pytest.param(teleportation_qir(), 3, True, False, id="teleportation"),
+]
+
+
 def counts_for(text, scheduler, *, seed=123, shots=200, jobs=1, **kwargs):
     rt = QirRuntime(seed=seed)
     return rt.run_shots(
@@ -68,6 +123,14 @@ class TestGetScheduler:
         with pytest.raises(ValueError, match="threaded"):
             get_scheduler("serial", jobs=4)
 
+    def test_auto_is_the_default_and_never_spawns_workers(self):
+        assert isinstance(get_scheduler("auto"), AutoScheduler)
+        assert QirRuntime().default_scheduler == "auto"
+        with pytest.raises(ValueError, match="auto never spawns workers"):
+            get_scheduler("auto", jobs=2)
+        with pytest.raises(ValueError, match="chunk sizing"):
+            get_scheduler("auto", chunk_shots=4)
+
     def test_nonpositive_jobs_raises(self):
         with pytest.raises(ValueError):
             get_scheduler("threaded", jobs=0)
@@ -80,17 +143,36 @@ class TestGetScheduler:
 class TestCrossSchedulerDeterminism:
     """Acceptance: same seed -> identical counts on every scheduler."""
 
+    @pytest.mark.parametrize("text,width,feedback,straight", DIFFERENTIAL_CASES)
+    def test_counts_are_identical_across_schedulers(
+        self, text, width, feedback, straight
+    ):
+        shots = 200 if width <= 6 else 24
+        serial = counts_for(text, "serial", shots=shots, sampling="never")
+        threaded = counts_for(text, "threaded", jobs=3, shots=shots, sampling="never")
+        batched = counts_for(text, "batched", shots=shots)
+        auto = counts_for(text, "auto", shots=shots, sampling="never")
+        assert serial.counts == threaded.counts == batched.counts == auto.counts
+        assert sum(serial.counts.values()) == shots
+        # auto batches exactly the narrow programs without feedback.
+        narrow = width <= AUTO_BATCHED_MAX_QUBITS
+        assert (auto.scheduler == "batched") == (narrow and not feedback)
+        # Under the full tier order the sampling tiers still go first.
+        tiered = counts_for(text, "auto", shots=shots)
+        assert tiered.counts == counts_for(text, "serial", shots=shots).counts
+        assert tiered.used_fast_path == straight
+        if not straight:
+            assert tiered.scheduler == auto.scheduler
+
     @pytest.mark.parametrize(
-        "text",
-        [bell_qir("static"), qft_qir(3), reset_chain_qir(2, rounds=2)],
-        ids=["bell", "qft3", "reset_chain"],
+        "text", [bell_qir("static"), qft_qir(3), qft_qir(6)], ids=["bell", "qft3", "qft6"]
     )
-    def test_counts_are_identical_across_schedulers(self, text):
-        serial = counts_for(text, "serial", sampling="never")
-        threaded = counts_for(text, "threaded", jobs=3, sampling="never")
-        batched = counts_for(text, "batched")
-        assert serial.counts == threaded.counts == batched.counts
-        assert sum(serial.counts.values()) == 200
+    def test_auto_keeps_the_warm_distribution_tier(self, text):
+        session = QirSession(seed=5)
+        cold = session.run_shots(text, shots=100)
+        warm = session.run_shots(text, shots=100)
+        assert cold.used_fast_path and not cold.distribution_served
+        assert warm.used_fast_path and warm.distribution_served
 
     def test_rejected_fastpath_attempt_does_not_shift_seeds(self):
         # Under sampling="auto" serial/threaded *attempt* the fast path on
@@ -190,11 +272,62 @@ class TestBatchedScheduler:
         }
         assert len(fallbacks) == 1
         (key,) = fallbacks
-        assert "feeds back" in key
+        assert key == "runtime.scheduler.batched_fallback{reason=feedback}"
         # The serial fallback really ran the feedback: the conditional x
         # zeroes the qubit whenever r0 was 1, so the second measurement is
         # always 0 (without feedback, "11" would appear).
         assert set(result.counts) <= {"00", "01"}
+
+    @pytest.mark.parametrize("scheduler", ["auto", "batched"])
+    def test_batched_abort_is_memoized_on_the_plan(self, scheduler, monkeypatch):
+        import repro.runtime.schedulers as schedulers
+
+        entered = []
+        original = schedulers.run_batched
+
+        def counting_run_batched(task):
+            entered.append(task.shots)
+            return original(task)
+
+        monkeypatch.setattr(schedulers, "run_batched", counting_run_batched)
+        observer = Observer()
+        rt = QirRuntime(seed=3, observer=observer)
+        plan = QirSession(runtime=rt).compile(FEEDBACK_PROGRAM)
+        first = rt.run_shots(plan, shots=30, scheduler=scheduler)
+        assert entered == [30]
+        assert plan.batched_decline == "feedback"
+        second = rt.run_shots(plan, shots=30, scheduler=scheduler)
+        assert entered == [30]  # the doomed batch is not re-attempted
+        assert first.scheduler == second.scheduler == "serial"
+        key = "runtime.scheduler.batched_fallback{reason=feedback}"
+        assert observer.metrics.value(key) == 1  # counted on the real attempt only
+        reference = QirRuntime(seed=3)
+        assert first.counts == reference.run_shots(FEEDBACK_PROGRAM, shots=30).counts
+        assert second.counts == reference.run_shots(FEEDBACK_PROGRAM, shots=30).counts
+
+    def test_batched_decline_is_not_serialized(self):
+        from repro.runtime import ExecutionPlan
+
+        rt = QirRuntime(seed=3)
+        plan = QirSession(runtime=rt).compile(FEEDBACK_PROGRAM)
+        rt.run_shots(plan, shots=5)
+        assert plan.batched_decline == "feedback"
+        assert ExecutionPlan.from_bytes(plan.to_bytes()).batched_decline is None
+
+    def test_interpreted_batch_opens_with_a_probe_chunk(self):
+        # A doomed batch aborts inside its first chunk, so interpreted
+        # batches open with a small one.  Counts never change.
+        observer = Observer()
+        rt = QirRuntime(seed=4, observer=observer)
+        text = counted_loop_qir(3)
+        assert compile_plan(text).fused is None  # the interpreter path
+        batched = rt.run_shots(text, shots=40, scheduler="batched", sampling="never")
+        assert batched.scheduler == "batched"
+        assert observer.metrics.value("runtime.scheduler.batched_chunks") == 2
+        serial = QirRuntime(seed=4).run_shots(
+            text, shots=40, sampling="never", scheduler="serial"
+        )
+        assert batched.counts == serial.counts
 
     def test_batched_counts_metrics(self):
         observer = Observer()
@@ -203,6 +336,60 @@ class TestBatchedScheduler:
         metrics = observer.metrics
         assert metrics.value("runtime.shots.batched") == 25
         assert metrics.value("runtime.scheduler.runs{scheduler=batched}") == 1
+
+
+class TestAutoSchedulerObservability:
+    """The auto choice is explained on the run_shots span and counted."""
+
+    @staticmethod
+    def _run(text, **kwargs):
+        observer = Observer()
+        result = QirRuntime(seed=1, observer=observer).run_shots(
+            text, shots=12, **kwargs
+        )
+        (span,) = [e for e in observer.tracer.events if e["name"] == "run_shots"]
+        return result, span["args"], observer.snapshot()["counters"]
+
+    @pytest.mark.parametrize(
+        "text,choice,reason",
+        [
+            (reset_chain_qir(3, rounds=2), "batched", f"width<={AUTO_BATCHED_MAX_QUBITS}"),
+            (reset_rounds_qir(AUTO_BATCHED_MAX_QUBITS + 1, seed=1), "serial",
+             f"width>{AUTO_BATCHED_MAX_QUBITS}"),
+            (FEEDBACK_PROGRAM, "serial", "feedback"),
+        ],
+        ids=["eligible", "wide", "feedback"],
+    )
+    def test_span_tags_and_counter(self, text, choice, reason):
+        result, tags, counters = self._run(text)
+        assert result.scheduler == choice
+        assert tags["scheduler"] == "auto"
+        assert tags["scheduler.resolved"] == choice
+        assert tags["scheduler.reason"] == reason
+        assert tags["fastpath.decline"]  # the fast path's reason, not swallowed
+        key = f"runtime.scheduler.auto{{choice={choice},reason={reason}}}"
+        assert counters[key] == 1
+        decline = f"runtime.fastpath.decline{{reason={tags['fastpath.decline']}}}"
+        assert counters[decline] == 1
+
+    @pytest.mark.parametrize(
+        "kwargs,reason",
+        [
+            ({"keep_stats": True}, "keep_stats"),
+            ({"collect_failures": True}, "per-shot resilience"),
+            ({"sampling": "never"}, f"width<={AUTO_BATCHED_MAX_QUBITS}"),
+        ],
+    )
+    def test_static_reasons(self, kwargs, reason):
+        _, tags, counters = self._run(bell_qir("static"), **kwargs)
+        assert tags["scheduler.reason"] == reason
+        assert not any(k.startswith("runtime.scheduler.batched_fallback") for k in counters)
+
+    def test_fast_path_runs_carry_no_scheduler_choice(self):
+        result, tags, counters = self._run(bell_qir("static"))
+        assert result.used_fast_path
+        assert "scheduler.resolved" not in tags
+        assert not any(k.startswith("runtime.scheduler.auto") for k in counters)
 
 
 class TestThreadedResilience:

@@ -186,15 +186,26 @@ class TestQirRunSchedulers:
         outputs = []
         for flags in (["--scheduler", "serial"],
                       ["--scheduler", "threaded", "--jobs", "2"],
-                      ["--scheduler", "batched"]):
+                      ["--scheduler", "batched"],
+                      ["--scheduler", "auto"],
+                      []):
             assert run_main([str(path), "--shots", "80", "--seed", "5",
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(set(outputs)) == 1
 
     def test_jobs_with_serial_is_usage_error(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "10", "--jobs", "4"]) == 2
-        assert "--scheduler threaded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--scheduler threaded" in err
+        assert "auto never spawns workers" in err
+
+    def test_auto_is_the_default_scheduler(self):
+        from repro.tools.qir_run import build_parser
+
+        args = build_parser().parse_args(["prog.ll"])
+        assert args.scheduler == "auto"
+        assert "auto (default" in build_parser().format_help()
 
     def test_nonpositive_jobs_is_usage_error(self, bell_file, capsys):
         assert run_main([bell_file, "--jobs", "0"]) == 2
@@ -208,6 +219,15 @@ class TestQirRunSchedulers:
         assert "cache.plan.miss" in err
         assert "-- scheduler --" in err
         assert "runs[batched]" in err
+
+    def test_profile_explains_the_auto_choice(self, tmp_path, capsys):
+        path = tmp_path / "chain.ll"
+        path.write_text(reset_chain_qir(2, rounds=2))
+        assert run_main([str(path), "--shots", "20", "--seed", "7",
+                         "--profile"]) == 0
+        err = capsys.readouterr().err
+        assert "fast path declined x1: reset after measurement" in err
+        assert "auto chose batched x1: width<=" in err
 
     def test_chunk_shots_keeps_counts_identical(self, tmp_path, capsys):
         path = tmp_path / "chain.ll"

@@ -10,13 +10,15 @@ from repro.tools.qir_opt import main as opt_main
 from repro.workloads.qir_programs import bell_qir
 
 
-@pytest.fixture
-def snapshot_file(tmp_path):
-    """A real (fast) suite run written to disk."""
-    path = str(tmp_path / "a.json")
+@pytest.fixture(scope="module")
+def snapshot_file(tmp_path_factory):
+    """A real (fast) suite run written to disk, shared by the read-only
+    tests of this module."""
+    directory = tmp_path_factory.mktemp("bench")
+    path = str(directory / "a.json")
     code = bench_main(
         ["run", "-o", path, "--repeats", "2", "--shots", "10",
-         "--examples-dir", str(tmp_path / "missing")]
+         "--examples-dir", str(directory / "missing")]
     )
     assert code == 0
     return path
@@ -66,6 +68,26 @@ class TestRun:
         assert threaded["direction"] == "higher"
         assert threaded["metadata"]["jobs"] >= 2
         assert by_name["runtime.scheduler.serial_shots_per_second"]["value"] > 0
+
+    def test_records_auto_ratio_per_width(self, snapshot_file):
+        from repro.runtime import AUTO_BATCHED_MAX_QUBITS
+
+        payload = json.loads(open(snapshot_file).read())
+        cells = [
+            r for r in payload["records"] if r["name"] == "runtime.scheduler.auto_ratio"
+        ]
+        assert sorted(r["metadata"]["width"] for r in cells) == [4, 8, 10, 12, 14]
+        for record in cells:
+            meta = record["metadata"]
+            assert record["unit"] == "ratio"
+            assert record["direction"] == "higher"
+            assert record["k"] >= 5
+            assert record["value"] > 0
+            narrow = meta["width"] <= AUTO_BATCHED_MAX_QUBITS
+            assert meta["choice"] == ("batched" if narrow else "serial")
+            # Shots are sized on single cold runs, so warm medians may dip
+            # a little under the 50 ms target.
+            assert min(meta["serial_seconds"], meta["batched_seconds"]) >= 0.025
 
     def test_records_worker_imbalance(self, snapshot_file):
         # The work-stealing evidence: slowest / median worker busy time
