@@ -90,7 +90,9 @@ def test_multishot_strategy_ablation(benchmark, strategy):
     runtime = QirRuntime(seed=23)
 
     def run():
-        return runtime.run_shots(text, shots=200, sampling=sampling)
+        return runtime.run_shots(
+            text, shots=200, sampling=sampling, scheduler="serial"
+        )
 
     result = benchmark(run)
     assert sum(result.counts.values()) == 200

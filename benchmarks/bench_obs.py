@@ -11,22 +11,25 @@ Shape claims:
   for any diagnostic run.
 
 Timing discipline (ISSUE 3): every number is the median of k >= 5 timed
-repetitions after warmup (``measure_median``), and the snapshot records
-min/median/max per side -- single-sample timings produced negative
-``overhead_fraction`` values in early ``BENCH_obs.json`` files.  The
-overhead ratio is computed median-over-median.
+repetitions after warmup, taken in interleaved rounds
+(``measure_interleaved``) so machine-load drift lands on both sides
+alike, and the snapshot records min/median/max per side --
+single-sample timings produced negative ``overhead_fraction`` values in
+early ``BENCH_obs.json`` files.  The overhead ratio is computed
+median-over-median.
 """
 
 import numpy as np
 
 from repro.llvmir import parse_assembly
 from repro.obs import Observer
+from repro.obs.snapshot import measure_interleaved
 from repro.runtime import QirRuntime
 from repro.runtime.interpreter import Interpreter
 from repro.sim.statevector import StatevectorSimulator
 from repro.workloads.qir_programs import ghz_qir
 
-from conftest import measure_median, record_bench, report
+from conftest import record_bench, report
 
 SHOTS = 50
 REPEATS = 9  # median-of-9 per side (>= the k=5 floor)
@@ -55,20 +58,27 @@ def _bare_loop(module, shots=SHOTS):
 
 def _noop_loop(module, shots=SHOTS):
     """The production API with its default no-op observer."""
-    return QirRuntime(seed=7).run_shots(module, shots=shots, sampling="never")
+    return QirRuntime(seed=7).run_shots(
+        module, shots=shots, sampling="never", scheduler="serial"
+    )
 
 
 def _enabled_loop(module, shots=SHOTS):
     observer = Observer()
     runtime = QirRuntime(seed=7, observer=observer)
-    return runtime.run_shots(module, shots=shots, sampling="never")
+    return runtime.run_shots(
+        module, shots=shots, sampling="never", scheduler="serial"
+    )
 
 
 def test_noop_observer_overhead():
     """run_shots with the default no-op observer vs the bare loop: < 3%."""
     module = _module()
-    bare = measure_median(lambda: _bare_loop(module), repeats=REPEATS, warmup=WARMUP)
-    noop = measure_median(lambda: _noop_loop(module), repeats=REPEATS, warmup=WARMUP)
+    stats = measure_interleaved(
+        {"bare": lambda: _bare_loop(module), "noop": lambda: _noop_loop(module)},
+        rounds=REPEATS, warmup=WARMUP,
+    )
+    bare, noop = stats["bare"], stats["noop"]
     overhead = noop.median / bare.median - 1.0
     report(
         "OBS no-op observer overhead (GHZ-10, per-shot loop, median-of-%d)" % REPEATS,
@@ -100,10 +110,11 @@ def test_noop_observer_overhead():
 def test_enabled_observer_overhead_bounded():
     """Full tracing+metrics profiling stays within a small constant factor."""
     module = _module()
-    noop = measure_median(lambda: _noop_loop(module), repeats=REPEATS, warmup=WARMUP)
-    enabled = measure_median(
-        lambda: _enabled_loop(module), repeats=REPEATS, warmup=WARMUP
+    stats = measure_interleaved(
+        {"noop": lambda: _noop_loop(module), "enabled": lambda: _enabled_loop(module)},
+        rounds=REPEATS, warmup=WARMUP,
     )
+    noop, enabled = stats["noop"], stats["enabled"]
     overhead = enabled.median / noop.median - 1.0
     report(
         "OBS enabled observer overhead (GHZ-10, per-shot loop, median-of-%d)"
@@ -132,7 +143,7 @@ def test_enabled_observer_records_everything():
     module = _module()
     observer = Observer()
     QirRuntime(seed=7, observer=observer).run_shots(
-        module, shots=10, sampling="never"
+        module, shots=10, sampling="never", scheduler="serial"
     )
     snapshot = observer.snapshot()
     intrinsics = [

@@ -31,7 +31,9 @@ def _module():
 
 
 def _run_clean(module):
-    QirRuntime(seed=7).run_shots(module, shots=SHOTS, sampling="never")
+    QirRuntime(seed=7).run_shots(
+        module, shots=SHOTS, sampling="never", scheduler="serial"
+    )
 
 
 def _run_wrapped(module):
@@ -40,7 +42,8 @@ def _run_wrapped(module):
     # of leaving injection enabled on a healthy system.
     plan = FaultPlan(rules=(FaultRule(site="gate", failures=0),))
     QirRuntime(seed=7).run_shots(
-        module, shots=SHOTS, fault_plan=plan, retry=RetryPolicy(max_attempts=1)
+        module, shots=SHOTS, fault_plan=plan, retry=RetryPolicy(max_attempts=1),
+        scheduler="serial",
     )
 
 

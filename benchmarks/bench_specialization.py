@@ -16,7 +16,8 @@ Shape claims:
 release.
 """
 
-from repro.runtime import QirRuntime, QirSession
+from repro.obs.snapshot import median_ratio
+from repro.runtime import QirRuntime, QirSession, compile_plan
 from repro.runtime.execute import (
     measure_distribution_speedup,
     measure_fusion_speedup,
@@ -27,70 +28,70 @@ from conftest import record_bench, report
 
 SHOTS = 64
 DIST_SHOTS = 1024
-REPEATS = 3
+ROUNDS = 5
 SEED = 7
 
 
 def test_fusion_beats_per_gate_interpretation():
     text = rotation_ladder_qir(2, depth=48)
-    comparison = measure_fusion_speedup(
-        text, shots=SHOTS, repeats=REPEATS, seed=SEED,
-        workload="rotation_ladder",
-    )
+    plan = compile_plan(text, verify=False)
+    kernels, source_gates = plan.fused.kernels, plan.fused.source_gates
+    stats = measure_fusion_speedup(plan, shots=SHOTS, rounds=ROUNDS, seed=SEED)
+    speedup = median_ratio(stats["unfused"], stats["fused"])
     report(
-        "fused kernels vs per-gate interpretation (rotation ladder)",
+        "fused kernels vs per-gate interpretation (rotation ladder, serial)",
         [
-            ("fused", f"{comparison.fused_seconds:.4f}s",
-             f"{comparison.kernels} kernels"),
-            ("unfused", f"{comparison.unfused_seconds:.4f}s",
-             f"{comparison.source_gates} gates"),
+            ("fused", f"{stats['fused'].median:.4f}s", f"{kernels} kernels"),
+            ("unfused", f"{stats['unfused'].median:.4f}s",
+             f"{source_gates} gates"),
         ],
         header=("arm", "median", "work"),
     )
     record_bench(
         "specialization", "runtime.fusion.speedup",
-        comparison.speedup if comparison.speedup is not None else 0.0,
+        speedup if speedup is not None else 0.0,
         unit="ratio", direction="higher", shots=SHOTS,
-        kernels=comparison.kernels, source_gates=comparison.source_gates,
+        kernels=kernels, source_gates=source_gates,
     )
     # The fused schedule must actually coalesce the runs (one kernel per
     # qubit's rotation ladder), and that coalescing must pay off.
-    assert comparison.kernels < comparison.source_gates / 10
-    assert comparison.speedup is not None and comparison.speedup > 1.0, (
-        f"fusion did not pay: {comparison.speedup}"
+    assert kernels < source_gates / 10
+    assert speedup is not None and speedup > 1.0, (
+        f"fusion did not pay: {speedup}"
     )
 
     # Bit-identity guard: the speedup must come from doing the same math
     # fewer times, not from doing different math.
     fused = QirRuntime(seed=SEED, fusion=True).run_shots(
-        text, shots=SHOTS, sampling="never"
+        text, shots=SHOTS, sampling="never", scheduler="serial"
     )
     unfused = QirRuntime(seed=SEED, fusion=False).run_shots(
-        text, shots=SHOTS, sampling="never"
+        text, shots=SHOTS, sampling="never", scheduler="serial"
     )
     assert fused.counts == unfused.counts
 
 
 def test_warm_distribution_serving_beats_cold_fastpath():
     text = ghz_qir(10, addressing="static")
-    comparison = measure_distribution_speedup(
-        text, shots=DIST_SHOTS, repeats=REPEATS, seed=SEED, workload="ghz10"
+    stats = measure_distribution_speedup(
+        text, shots=DIST_SHOTS, rounds=ROUNDS, seed=SEED
     )
+    speedup = median_ratio(stats["cold"], stats["warm"])
     report(
         "warm distribution serving vs cold fast path (ghz10)",
         [
-            ("warm", f"{comparison.warm_seconds:.5f}s"),
-            ("cold", f"{comparison.cold_seconds:.5f}s"),
+            ("warm", f"{stats['warm'].median:.5f}s"),
+            ("cold", f"{stats['cold'].median:.5f}s"),
         ],
         header=("arm", "median"),
     )
     record_bench(
         "specialization", "runtime.plan.dist_warm_speedup",
-        comparison.speedup if comparison.speedup is not None else 0.0,
+        speedup if speedup is not None else 0.0,
         unit="ratio", direction="higher", shots=DIST_SHOTS,
     )
-    assert comparison.speedup is not None and comparison.speedup > 5.0, (
-        f"warm serving did not pay: {comparison.speedup}"
+    assert speedup is not None and speedup > 5.0, (
+        f"warm serving did not pay: {speedup}"
     )
 
     # Bit-identity guard: warm-served counts == cold fast-path counts for

@@ -211,9 +211,8 @@ class MetricsRegistry:
     """Get-or-create namespace for all three metric kinds.
 
     Metric *creation* takes a lock so concurrent get-or-create from
-    scheduler worker threads cannot drop a cell (schedulers fold most
-    metrics on the merging thread, but interpreter-level observers may
-    still fire from workers).  The fast path -- the metric already
+    several threads sharing one observer cannot drop a cell.  The fast
+    path -- the metric already
     exists -- stays a plain dict read.
     """
 

@@ -114,6 +114,15 @@ def measure_interleaved(
     return {name: TimingStats(tuple(samples[name])) for name in names}
 
 
+def median_ratio(numerator: TimingStats, denominator: TimingStats) -> Optional[float]:
+    """``numerator.median / denominator.median`` -- a speedup when the
+    numerator is the slower arm; ``None`` (never ``inf``) when the
+    denominator's median is below clock resolution."""
+    if denominator.median <= 0.0:
+        return None
+    return numerator.median / denominator.median
+
+
 def environment_fingerprint() -> Dict[str, object]:
     """Host/interpreter identity attached to every snapshot.
 

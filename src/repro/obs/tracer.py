@@ -60,7 +60,7 @@ class Span:
         if tracer._depth > 0:
             tracer._depth -= 1
         else:
-            # An exit with no matching live entry (threaded misuse, or a
+            # An exit with no matching live entry (cross-thread misuse, or a
             # span exited twice).  Clamping keeps subsequent spans at
             # sane depths instead of going negative forever; the counter
             # makes the misuse visible instead of silent.

@@ -21,7 +21,7 @@ Reconstruction rules:
   own clock track, so it never contributes to the container's self time.
 
 Validation is collected, not raised: a loadable-but-odd trace (negative
-durations, partial overlaps from threaded tracer misuse, spans carrying
+durations, partial overlaps from cross-thread tracer misuse, spans carrying
 two different ``run_id`` tags) produces :class:`ValidationIssue` records
 on ``trace.issues`` and the best tree the evidence supports.  Only
 *unreadable* input (not JSON, no events) raises :class:`TraceError`.
@@ -279,7 +279,7 @@ def _build_track(
     Entry order is ``(ts, -dur)``: at equal timestamps the longer span
     entered first (it is the parent).  A span that starts inside the
     stack top but ends outside it *partially overlaps* -- impossible for
-    a single-threaded tracer, so it is flagged and treated as a sibling
+    a tracer used from one thread, so it is flagged and treated as a sibling
     of the nearest span that fully contains it.
     """
     roots: List[TraceSpan] = []
@@ -294,7 +294,7 @@ def _build_track(
                     f"span {span.name!r} [{span.start_us:.1f}, "
                     f"{span.end_us:.1f}] partially overlaps "
                     f"{stack[-1].name!r} [{stack[-1].start_us:.1f}, "
-                    f"{stack[-1].end_us:.1f}] (threaded tracer misuse?)",
+                    f"{stack[-1].end_us:.1f}] (cross-thread tracer misuse?)",
                 )
             )
             while stack and not stack[-1].contains(span):

@@ -14,8 +14,7 @@ any backend.
 
 Backends are not the only ladder.  The process scheduler's supervisor
 demotes *schedulers* the same way (``scheduler:process ->
-scheduler:threaded -> scheduler:serial`` after repeated worker
-failures) and reports those steps through the same degraded/history
+scheduler:serial`` after repeated worker failures) and reports those steps through the same degraded/history
 channel (its ``ChainGuard.note_scheduler_demotion``), so one failure
 report shows both kinds of demotion in the order they happened.
 """

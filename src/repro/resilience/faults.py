@@ -28,8 +28,8 @@ or other rules -- so failure sets are exactly reproducible.
 The three ``worker_*``/``ipc_*`` sites are **process-level**: they model
 the machinery around the interpreter failing, not the shot itself, so
 they are consulted only by the process scheduler's worker loop (see
-:mod:`repro.runtime.schedulers`) and are inert under the serial,
-threaded, and batched schedulers.  Their ``failures`` field counts
+:mod:`repro.runtime.schedulers`) and are inert under the auto, serial
+and batched schedulers.  Their ``failures`` field counts
 *chunk dispatch attempts* instead of shot attempts: ``failures=1``
 crashes the first dispatch of a poisoned chunk and lets the re-queued
 dispatch succeed, while the
@@ -317,9 +317,8 @@ class InjectorStats:
 class FaultInjector:
     """Turns a :class:`FaultPlan` into per-shot contexts and keeps stats.
 
-    Stats mutation goes through the ``note_*`` methods under a lock:
-    shot contexts may fire from scheduler worker threads concurrently
-    (see :mod:`repro.runtime.schedulers`)."""
+    Stats mutation goes through the ``note_*`` methods under a lock, so
+    one injector can be shared by concurrent callers."""
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan

@@ -58,7 +58,6 @@ from repro.runtime.dispatch import (
     ChunkQueue,
     QueueStats,
     guided_chunks,
-    partition_shots,
 )
 from repro.runtime.schedulers import (
     AUTO_BATCHED_MAX_QUBITS,
@@ -69,18 +68,14 @@ from repro.runtime.schedulers import (
     SerialScheduler,
     ShotOutcome,
     SupervisionRecord,
-    ThreadedScheduler,
     get_scheduler,
 )
 from repro.runtime.execute import (
     ExecutionResult,
-    FastpathComparison,
     QirRuntime,
-    SchedulerComparison,
     ShotsResult,
     execute,
     measure_fastpath_speedup,
-    measure_scheduler_speedup,
     run_shots,
 )
 from repro.runtime.session import QirSession
@@ -122,7 +117,6 @@ __all__ = [
     "AUTO_BATCHED_MAX_QUBITS",
     "AutoScheduler",
     "SerialScheduler",
-    "ThreadedScheduler",
     "BatchedScheduler",
     "ProcessScheduler",
     "ShotOutcome",
@@ -132,15 +126,11 @@ __all__ = [
     "ChunkQueue",
     "QueueStats",
     "guided_chunks",
-    "partition_shots",
     "ExecutionResult",
-    "FastpathComparison",
-    "SchedulerComparison",
     "ShotsResult",
     "QirRuntime",
     "QirSession",
     "execute",
     "measure_fastpath_speedup",
-    "measure_scheduler_speedup",
     "run_shots",
 ]

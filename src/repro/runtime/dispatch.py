@@ -1,4 +1,4 @@
-"""Shared work-queue dispatch core for the threaded and process schedulers.
+"""Work-queue dispatch core of the process scheduler.
 
 The one-contiguous-range-per-worker model had a built-in straggler
 problem: a worker that runs slow (noisy neighbour, costly shots, a
@@ -36,30 +36,6 @@ from typing import Deque, List, Optional, Tuple
 #: overhead while everyone is busy anyway) and the tail chunks are small
 #: (fine-grained rebalancing exactly when stragglers matter).
 GUIDED_FACTOR = 2
-
-
-def partition_shots(shots: int, workers: int) -> List[Tuple[int, int]]:
-    """Split ``range(shots)`` into at most ``workers`` contiguous chunks.
-
-    The historical one-chunk-per-worker split, kept for callers that
-    want it (and as the explicit "contiguous baseline" arm of the
-    imbalance bench: ``chunk_shots=ceil(shots/jobs)`` reproduces it).
-    Early chunks get the remainder, so sizes differ by at most one and
-    every shot index appears exactly once -- the determinism story does
-    not depend on the split (seeds are pure functions of shot index),
-    only completeness does.
-    """
-    if shots < 1:
-        return []
-    workers = max(1, min(workers, shots))
-    base, extra = divmod(shots, workers)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(workers):
-        size = base + (1 if index < extra else 0)
-        chunks.append((start, start + size))
-        start += size
-    return chunks
 
 
 def guided_chunks(
@@ -141,10 +117,9 @@ class QueueStats:
 class ChunkQueue:
     """A thread-safe queue of shot chunks that idle workers pull dry.
 
-    The shared dispatch core of :class:`ThreadedScheduler` (worker
-    threads pop directly) and :class:`ProcessScheduler` (the supervisor
-    drains the queue into pool waves via :meth:`take_all`, and returns
-    lost chunks with :meth:`requeue`).  Completeness invariant: every
+    The dispatch core of :class:`ProcessScheduler`: the supervisor
+    drains the queue into pool waves via :meth:`take_all` and returns
+    lost chunks with :meth:`requeue`.  Completeness invariant: every
     shot of the original range is in exactly one live chunk until that
     chunk's outcomes are merged -- requeueing replaces a lost chunk with
     the *same* range at the next attempt, so nothing is lost or

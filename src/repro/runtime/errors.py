@@ -160,9 +160,9 @@ class PoolStartupError(QirRuntimeError):
 
 
 class SchedulerExhaustedError(QirRuntimeError):
-    """Every rung of the scheduler demotion ladder (process -> threaded ->
-    serial) failed to complete the run.  Terminal: there is no cheaper
-    execution strategy left to try.
+    """Both rungs of the scheduler demotion ladder (process -> serial)
+    failed to complete the run.  Terminal: there is no cheaper execution
+    strategy left to try.
     """
 
     code = "QIR023"

@@ -21,7 +21,7 @@ An :class:`ExecutionPlan` is the frozen output of one compilation:
 
 Plans are immutable by convention: the execute phase treats the module as
 read-only, which is what makes one plan safely shareable across repeated
-``run_shots`` calls and across scheduler worker threads.
+``run_shots`` calls and across concurrent callers.
 """
 
 from __future__ import annotations

@@ -5,11 +5,6 @@ read-only artifact; this module spends it.  A :class:`ShotScheduler`
 turns "run N shots of this module" into per-shot tasks:
 
 * :class:`SerialScheduler` -- the historical in-order loop;
-* :class:`ThreadedScheduler` -- N worker threads pulling self-scheduled
-  shot chunks off a shared :class:`~repro.runtime.dispatch.ChunkQueue`
-  (``ShotsResult`` merging is order-independent, and per-shot outcomes
-  are re-sorted by shot index so results are deterministic regardless
-  of completion order or which worker ran a chunk);
 * :class:`BatchedScheduler` -- one vectorised multi-shot statevector
   evolution (:class:`~repro.sim.statevector.BatchedStatevectorSimulator`)
   for non-Clifford per-shot workloads where the deferred-measurement
@@ -21,19 +16,19 @@ turns "run N shots of this module" into per-shot tasks:
   that only batches plans at most :data:`AUTO_BATCHED_MAX_QUBITS` wide
   (and runs the serial loop otherwise).  Like every scheduler except
   ``batched`` it runs only after the sampling tiers declined;
-* :class:`ProcessScheduler` -- N worker *processes* draining the same
-  chunk queue (the supervisor drains it into pool waves; the executor's
-  idle processes self-schedule the chunks within a wave), for the
-  pure-Python-bound workloads where the GIL caps
-  :class:`ThreadedScheduler` (threads only overlap NumPy kernels).
-  Workers receive the compiled program as a *serialized*
-  :class:`~repro.runtime.plan.ExecutionPlan` (``to_bytes``), never
-  re-running verify/passes/analysis.
+* :class:`ProcessScheduler` -- N worker *processes* draining a shared
+  :class:`~repro.runtime.dispatch.ChunkQueue` (the supervisor drains it
+  into pool waves; the executor's idle processes self-schedule the
+  chunks within a wave), for the pure-Python-bound per-shot workloads
+  the GIL keeps on one core.  Workers receive the compiled program as
+  a *serialized* :class:`~repro.runtime.plan.ExecutionPlan`
+  (``to_bytes``), never re-running verify/passes/analysis.
 
 Determinism: every shot's RNG is derived from a spawned child seed --
 ``SeedSequence(entropy=root, spawn_key=(shot, attempt))`` -- never from a
-shared stream, so serial, threaded, batched, and process execution of the
-same program with the same seed produce identical ``counts``.
+shared stream, and the merge re-sorts outcomes by shot index, so serial,
+batched, and process execution of the same program with the same seed
+produce identical ``counts``.
 
 Resilience (retry / fault injection / backend fallback) hooks in at the
 per-shot *task* level, so every scheduler gets the same semantics: a
@@ -55,7 +50,7 @@ import multiprocessing
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
@@ -96,7 +91,7 @@ from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimula
 if TYPE_CHECKING:
     from repro.runtime.plan import ExecutionPlan
 
-SCHEDULERS = ("auto", "serial", "threaded", "batched", "process")
+SCHEDULERS = ("auto", "serial", "batched", "process")
 
 #: Widest plan (``required_qubits``) the ``auto`` scheduler batches.
 #: Backed by the ``runtime.scheduler.auto_ratio`` sweep of ``qir-bench
@@ -146,7 +141,7 @@ def shot_sequence(
     """The spawned child seed for one (shot, attempt) pair.
 
     A pure function of ``(root, shot, attempt)`` -- independent of
-    execution order, thread interleaving, retries of *other* shots, and
+    execution order, worker assignment, retries of *other* shots, and
     scheduler choice -- which is the whole determinism story: any
     scheduler computing the same pairs derives the same RNG streams.
     """
@@ -412,8 +407,8 @@ class ChainGuard:
             self._worker_history.extend(history)
 
     def note_scheduler_demotion(self, entry: str) -> None:
-        """Record a *scheduler*-ladder demotion (process -> threaded ->
-        serial, see :class:`ProcessScheduler`) in the shared history.
+        """Record a *scheduler*-ladder demotion (process -> serial, see
+        :class:`ProcessScheduler`) in the shared history.
 
         Scheduler demotions ride the same history/degraded channel as
         backend demotions so reports, metrics, and callers see one
@@ -769,93 +764,6 @@ class SerialScheduler:
         return [task.run_one(shot) for shot in range(task.shots)]
 
 
-class ThreadedScheduler:
-    """N worker threads pulling chunks off a shared work queue.
-
-    Shots are embarrassingly parallel: each one builds its own backend
-    from its own spawned seed, resilience state is shared behind
-    :class:`ChainGuard`, and the merge re-sorts outcomes by shot index --
-    so the result is bit-identical to :class:`SerialScheduler` for the
-    same seed.  (Python threads overlap NumPy kernels, not interpreter
-    bytecode; the win grows with statevector width.)
-
-    Dispatch is self-scheduled: the shot range becomes a
-    :class:`~repro.runtime.dispatch.ChunkQueue` of guided-size chunks
-    and every worker loops ``pop -> run -> pop`` until the queue drains,
-    so a straggler thread holds one chunk, not a fixed N-th of the run.
-
-    Fail-fast (non-resilient) semantics match serial: each chunk stops
-    at its own first failing shot, so the minimum failing shot across
-    chunks is the globally first one -- exactly the error the serial
-    loop would have raised.
-    """
-
-    name = "threaded"
-
-    def __init__(
-        self,
-        jobs: int = 4,
-        chunk_shots: Optional[int] = None,
-        min_chunk_shots: Optional[int] = None,
-    ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if chunk_shots is not None and chunk_shots < 1:
-            raise ValueError("chunk_shots must be >= 1")
-        if min_chunk_shots is not None and min_chunk_shots < 1:
-            raise ValueError("min_chunk_shots must be >= 1")
-        self.jobs = jobs
-        self.chunk_shots = chunk_shots
-        self.min_chunk_shots = min_chunk_shots
-
-    def run(self, task: ShotTask) -> List[ShotOutcome]:
-        if task.shots <= 1 or self.jobs == 1:
-            return SerialScheduler().run(task)
-        queue = ChunkQueue.for_shots(
-            task.shots, self.jobs, self.chunk_shots, self.min_chunk_shots
-        )
-        merge_lock = threading.Lock()
-        outcomes: List[ShotOutcome] = []
-        errors: List[Tuple[int, QirRuntimeError]] = []
-        pulls: List[int] = []
-
-        def pull_until_drained() -> None:
-            pulled = 0
-            local: List[ShotOutcome] = []
-            local_errors: List[Tuple[int, QirRuntimeError]] = []
-            while True:
-                chunk = queue.pop()
-                if chunk is None:
-                    break
-                pulled += 1
-                for shot in range(chunk.start, chunk.stop):
-                    try:
-                        local.append(task.run_one(shot))
-                    except QirRuntimeError as error:
-                        local_errors.append((shot, error))
-                        break  # chunk fail-fast: stop at its first failure
-            with merge_lock:
-                outcomes.extend(local)
-                errors.extend(local_errors)
-                pulls.append(pulled)
-
-        workers = min(self.jobs, len(queue))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(pull_until_drained) for _ in range(workers)]
-            for future in futures:
-                future.result()  # a non-QirRuntimeError here is a bug
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
-        obs = task.executor.observer
-        if obs.enabled:
-            obs.inc("scheduler.queue.chunks", queue.stats.dispatched)
-            steals = sum(max(0, n - 1) for n in pulls)
-            if steals:
-                obs.inc("scheduler.queue.steal", steals)
-        outcomes.sort(key=lambda o: o.shot)
-        return outcomes
-
-
 # -- process execution --------------------------------------------------------
 
 
@@ -977,7 +885,7 @@ def _run_worker_chunk(chunk: _WorkerChunk) -> Union[_WorkerReport, bytes]:
 
     Must stay a module-level function (spawn pickles it by reference).
     Workers run unobserved -- metric folding happens in the parent's
-    order-independent merge, same as the threaded scheduler.
+    order-independent merge.
 
     Chaos hooks: a :class:`~repro.resilience.faults.FaultPlan` with
     process-level sites decides this chunk's fate up front (a pure
@@ -1100,10 +1008,9 @@ def _default_start_method() -> str:
 class ProcessScheduler:
     """N worker processes draining a shared self-scheduled chunk queue.
 
-    The GIL escape hatch: for pure-Python-bound per-shot workloads
-    (small registers, interpreter-dominated cost) threads buy almost
-    nothing -- ``runtime.scheduler.threaded_speedup`` hovers near 1 --
-    while processes scale with cores.  The shot range becomes a
+    The GIL escape hatch: pure-Python-bound per-shot workloads (small
+    registers, interpreter-dominated cost) scale with cores only across
+    processes.  The shot range becomes a
     :class:`~repro.runtime.dispatch.ChunkQueue` of guided-size chunks;
     the supervisor drains the queue into the pool in *waves* (all
     pending chunks submitted at once), and the executor's idle processes
@@ -1133,7 +1040,7 @@ class ProcessScheduler:
     attempt)`` the re-run reproduces bit-identical outcomes.  After
     ``max_worker_failures`` failed waves a circuit breaker stops paying
     pool-restart costs and demotes the remaining shots ``process ->
-    threaded -> serial``, recording the demotion in the shared fallback
+    serial``, recording the demotion in the shared fallback
     history.  ``worker_timeout=None`` (the default) skips the heartbeat
     channel entirely, so the clean path pays no Manager/IPC overhead;
     it is auto-armed when a fault plan injects ``worker_hang`` so a
@@ -1508,46 +1415,34 @@ class ProcessScheduler:
         supervision: SupervisionRecord,
         obs,
     ) -> List[ShotOutcome]:
-        """The breaker tripped: finish the lost shots on cheaper rungs.
+        """The breaker tripped: finish the lost shots on the serial loop.
 
-        Threaded first (shares the parent's ChainGuard, so fallback
-        semantics actually *improve* over per-worker clones), then plain
-        serial.  :class:`QirRuntimeError` from a shot propagates -- that
-        is the program failing, same as serial fail-fast -- while
-        infrastructure errors walk down the ladder until
-        :class:`SchedulerExhaustedError` ends it.
+        The serial loop shares the parent's ChainGuard, so fallback
+        semantics actually *improve* over per-worker clones.
+        :class:`QirRuntimeError` from a shot propagates -- that is the
+        program failing, same as serial fail-fast -- while an
+        infrastructure error on the serial rung ends the ladder with
+        :class:`SchedulerExhaustedError`.
         """
         code = supervision.last_error_code or WorkerCrashError.code
         task.chain.note_scheduler_demotion(
-            f"scheduler:process -> scheduler:threaded (after {code}: "
+            f"scheduler:process -> scheduler:serial (after {code}: "
             f"{supervision.worker_failures} worker failure(s) in "
             f"{supervision.failed_rounds} round(s))"
         )
-        supervision.demoted_to = "threaded"
+        supervision.demoted_to = "serial"
         supervision.note(
             f"breaker tripped after round {supervision.rounds - 1}: "
-            f"re-running {len(shots)} shot(s) on the threaded scheduler"
+            f"re-running {len(shots)} shot(s) on the serial scheduler"
         )
-        try:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(task.run_one, shots))
-        except QirRuntimeError:
-            raise
-        except Exception as error:
-            task.chain.note_scheduler_demotion(
-                f"scheduler:threaded -> scheduler:serial "
-                f"(after {code}: {error})"
-            )
-            supervision.demoted_to = "serial"
-            supervision.note(f"threaded rung failed ({error}); trying serial")
         try:
             return [task.run_one(shot) for shot in shots]
         except QirRuntimeError:
             raise
         except Exception as error:
             raise SchedulerExhaustedError(
-                f"process, threaded, and serial schedulers all failed to "
-                f"complete {len(shots)} re-dispatched shot(s): {error}"
+                f"process and serial schedulers both failed to complete "
+                f"{len(shots)} re-dispatched shot(s): {error}"
             ) from error
 
     @staticmethod
@@ -1733,9 +1628,10 @@ def get_scheduler(
 
     ``worker_timeout`` and ``max_worker_failures`` configure the process
     scheduler's supervisor and are rejected for every other scheduler
-    (there are no worker processes to supervise).  ``chunk_shots`` /
-    ``min_chunk_shots`` tune the work queue's chunk sizing and are
-    rejected for the auto, serial and batched schedulers (no queue there).
+    (there are no worker processes to supervise).  ``jobs > 1`` and
+    ``chunk_shots`` / ``min_chunk_shots`` (the work queue's chunk sizing)
+    likewise require the process scheduler: the others run in-process,
+    one shot stream, no queue.
     """
     if name not in SCHEDULERS:
         raise ValueError(
@@ -1750,29 +1646,25 @@ def get_scheduler(
             "worker supervision options (worker_timeout / "
             "max_worker_failures) require the process scheduler"
         )
-    if name not in ("threaded", "process") and (
+    if name != "process" and (
         chunk_shots is not None or min_chunk_shots is not None
     ):
         raise ValueError(
             "chunk sizing options (chunk_shots / min_chunk_shots) require "
-            "the threaded or process scheduler"
+            "the process scheduler"
         )
-    if name in ("serial", "auto"):
-        if jobs > 1:
-            raise ValueError(
-                "jobs > 1 requires --scheduler threaded or process (serial "
-                "runs one shot at a time; auto never spawns workers)"
-            )
-        return SerialScheduler() if name == "serial" else AutoScheduler()
-    if name == "threaded":
-        return ThreadedScheduler(
-            jobs=max(2, jobs) if jobs > 1 else 2,
-            chunk_shots=chunk_shots,
-            min_chunk_shots=min_chunk_shots,
+    if name != "process" and jobs > 1:
+        raise ValueError(
+            "jobs > 1 requires the process scheduler (serial and batched "
+            "run one shot stream; auto never spawns workers)"
         )
+    if name == "serial":
+        return SerialScheduler()
+    if name == "auto":
+        return AutoScheduler()
     if name == "process":
         return ProcessScheduler(
-            jobs=max(2, jobs) if jobs > 1 else 2,
+            jobs=max(2, jobs),
             worker_timeout=worker_timeout,
             max_worker_failures=(
                 2 if max_worker_failures is None else max_worker_failures
@@ -1929,8 +1821,8 @@ def build_shots_result(
 ) -> ShotsResult:
     """Deterministic order-independent merge of per-shot outcomes.
 
-    All observer metric writes happen here, on the scheduling thread, so
-    worker threads never touch shared metric state.
+    All observer metric writes happen here, in the parent process, so
+    workers never touch shared metric state.
     """
     outcomes = sorted(outcomes, key=lambda o: o.shot)
     obs = task.executor.observer

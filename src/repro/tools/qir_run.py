@@ -32,6 +32,7 @@ from repro.runtime import (
     QirRuntimeError,
     QirSession,
     TrapError,
+    get_scheduler,
 )
 from repro.sim import NoiseModel
 
@@ -81,16 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="shot scheduler: auto (default; after the "
                                 "sampling fast path declines, batched for "
                                 f"plans of at most {AUTO_BATCHED_MAX_QUBITS} "
-                                "qubits, serial otherwise), serial, threaded "
-                                "(--jobs worker threads), batched (vectorised "
-                                "multi-shot statevector evolution), or process "
-                                "(--jobs worker processes fed serialized plans)")
+                                "qubits, serial otherwise), serial, batched "
+                                "(vectorised multi-shot statevector "
+                                "evolution), or process (--jobs worker "
+                                "processes fed serialized plans)")
     execution.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="workers for --scheduler threaded/process")
+                           help="workers for --scheduler process")
     execution.add_argument("--chunk-shots", type=int, default=None,
                            metavar="K",
                            help="fixed shots per work-queue chunk for "
-                                "--scheduler threaded/process (default: "
+                                "--scheduler process (default: "
                                 "guided sizing — large chunks first, "
                                 "shrinking toward a floor; K = "
                                 "ceil(shots/jobs) reproduces the old "
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="failed dispatch waves before the process "
                                 "scheduler's circuit breaker demotes the run "
-                                "to the threaded scheduler (default 2)")
+                                "to the serial scheduler (default 2)")
     execution.add_argument("--plan-cache", default=None, metavar="DIR",
                            help="persist compiled plans under DIR so later "
                                 "processes warm-start (also honours the "
@@ -164,54 +165,24 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace, observer) -> int:
-    if args.jobs < 1:
-        print("qir-run: error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if args.jobs > 1 and args.scheduler in ("auto", "serial"):
-        print(
-            "qir-run: error: --jobs > 1 requires --scheduler threaded or "
-            "process (serial runs one shot at a time; auto never spawns "
-            "workers)",
-            file=sys.stderr,
+    try:
+        get_scheduler(
+            args.scheduler,
+            args.jobs,
+            worker_timeout=args.worker_timeout,
+            max_worker_failures=args.max_worker_failures,
+            chunk_shots=args.chunk_shots,
+            min_chunk_shots=args.min_chunk_shots,
         )
+    except ValueError as error:
+        print(f"qir-run: error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    supervised = (
-        args.worker_timeout is not None or args.max_worker_failures is not None
-    )
-    if supervised and args.scheduler != "process":
+    if args.jobs == 1 and args.scheduler == "process":
+        # One worker IS the serial loop, so normalize instead of paying
+        # pool startup for nothing.
         print(
-            "qir-run: error: --worker-timeout/--max-worker-failures require "
-            "--scheduler process (there are no worker processes to supervise)",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    if args.worker_timeout is not None and args.worker_timeout <= 0:
-        print("qir-run: error: --worker-timeout must be > 0", file=sys.stderr)
-        return EXIT_PARSE
-    if args.max_worker_failures is not None and args.max_worker_failures < 1:
-        print("qir-run: error: --max-worker-failures must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    chunked = args.chunk_shots is not None or args.min_chunk_shots is not None
-    if chunked and args.scheduler not in ("threaded", "process"):
-        print(
-            "qir-run: error: --chunk-shots/--min-chunk-shots require "
-            "--scheduler threaded or process (only those pull from the "
-            "shared work queue)",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    if args.chunk_shots is not None and args.chunk_shots < 1:
-        print("qir-run: error: --chunk-shots must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if args.min_chunk_shots is not None and args.min_chunk_shots < 1:
-        print("qir-run: error: --min-chunk-shots must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if args.jobs == 1 and args.scheduler in ("threaded", "process"):
-        # Symmetric to the rejection above: one worker IS the serial loop,
-        # so normalize instead of paying pool startup for nothing.
-        print(
-            f"qir-run: note: --scheduler {args.scheduler} with --jobs 1 "
-            "runs serially (one worker is the serial loop)",
+            "qir-run: note: --scheduler process with --jobs 1 runs serially "
+            "(one worker is the serial loop)",
             file=sys.stderr,
         )
         args.scheduler = "serial"

@@ -11,6 +11,7 @@ from repro.obs.snapshot import (
     TimingStats,
     environment_fingerprint,
     measure,
+    median_ratio,
 )
 
 
@@ -57,6 +58,18 @@ class TestMeasure:
         assert stats.k == 5
         assert stats.min >= 0.0
         assert stats.min <= stats.median <= stats.max
+
+
+class TestMedianRatio:
+    def test_ratio_of_medians(self):
+        slow = TimingStats((0.4, 0.2, 0.3))
+        fast = TimingStats((0.1, 0.05, 0.2))
+        assert median_ratio(slow, fast) == pytest.approx(3.0)
+
+    def test_zero_duration_reports_none_not_inf(self):
+        # Below clock resolution a speedup is meaningless: None, never inf.
+        assert median_ratio(TimingStats((0.1,)), TimingStats((0.0,))) is None
+        assert median_ratio(TimingStats((0.0,)), TimingStats((0.1,))) == 0.0
 
 
 class TestBenchRecord:

@@ -1,5 +1,5 @@
 """The execute phase: scheduler selection, determinism, and resilience
-semantics under concurrency (serial / threaded / batched)."""
+semantics across the serial, batched, auto and process schedulers."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,13 @@ from repro.resilience import (
 )
 from repro.runtime import (
     AUTO_BATCHED_MAX_QUBITS,
+    SCHEDULERS,
     AutoScheduler,
     BatchedScheduler,
     QirRuntime,
     compile_plan,
     QirSession,
     SerialScheduler,
-    ThreadedScheduler,
     get_scheduler,
     run_shots,
 )
@@ -112,16 +112,24 @@ def counts_for(text, scheduler, *, seed=123, shots=200, jobs=1, **kwargs):
 class TestGetScheduler:
     def test_resolves_each_name(self):
         assert isinstance(get_scheduler("serial"), SerialScheduler)
-        assert isinstance(get_scheduler("threaded", 4), ThreadedScheduler)
         assert isinstance(get_scheduler("batched"), BatchedScheduler)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             get_scheduler("quantum")
 
+    def test_threaded_is_rejected_with_the_four_names(self):
+        with pytest.raises(ValueError) as raised:
+            get_scheduler("threaded", jobs=2)
+        assert "unknown scheduler 'threaded'" in str(raised.value)
+        assert "choose from auto, serial, batched, process" in str(raised.value)
+        assert SCHEDULERS == ("auto", "serial", "batched", "process")
+
     def test_jobs_with_serial_raises(self):
-        with pytest.raises(ValueError, match="threaded"):
+        with pytest.raises(ValueError, match="requires the process scheduler"):
             get_scheduler("serial", jobs=4)
+        with pytest.raises(ValueError, match="requires the process scheduler"):
+            get_scheduler("batched", jobs=2)
 
     def test_auto_is_the_default_and_never_spawns_workers(self):
         assert isinstance(get_scheduler("auto"), AutoScheduler)
@@ -133,10 +141,10 @@ class TestGetScheduler:
 
     def test_nonpositive_jobs_raises(self):
         with pytest.raises(ValueError):
-            get_scheduler("threaded", jobs=0)
+            get_scheduler("process", jobs=0)
 
     def test_runtime_validates_defaults_eagerly(self):
-        with pytest.raises(ValueError, match="threaded"):
+        with pytest.raises(ValueError, match="requires the process scheduler"):
             QirRuntime(scheduler="serial", jobs=4)
 
 
@@ -149,10 +157,10 @@ class TestCrossSchedulerDeterminism:
     ):
         shots = 200 if width <= 6 else 24
         serial = counts_for(text, "serial", shots=shots, sampling="never")
-        threaded = counts_for(text, "threaded", jobs=3, shots=shots, sampling="never")
+        process = counts_for(text, "process", jobs=2, shots=shots, sampling="never")
         batched = counts_for(text, "batched", shots=shots)
         auto = counts_for(text, "auto", shots=shots, sampling="never")
-        assert serial.counts == threaded.counts == batched.counts == auto.counts
+        assert serial.counts == process.counts == batched.counts == auto.counts
         assert sum(serial.counts.values()) == shots
         # auto batches exactly the narrow programs without feedback.
         narrow = width <= AUTO_BATCHED_MAX_QUBITS
@@ -175,7 +183,7 @@ class TestCrossSchedulerDeterminism:
         assert warm.used_fast_path and warm.distribution_served
 
     def test_rejected_fastpath_attempt_does_not_shift_seeds(self):
-        # Under sampling="auto" serial/threaded *attempt* the fast path on
+        # Under sampling="auto" serial/process *attempt* the fast path on
         # this program and get rejected; batched never attempts it.  The
         # attempt must not consume from the runtime's seed stream, or the
         # schedulers would diverge.
@@ -188,19 +196,13 @@ class TestCrossSchedulerDeterminism:
     def test_result_reports_the_scheduler_that_ran(self):
         text = reset_chain_qir(2, rounds=2)
         assert counts_for(text, "serial").scheduler == "serial"
-        assert counts_for(text, "threaded", jobs=2).scheduler == "threaded"
+        assert counts_for(text, "process", jobs=2).scheduler == "process"
         assert counts_for(text, "batched").scheduler == "batched"
-
-    def test_threaded_with_one_job_degrades_to_serial_loop(self):
-        text = bell_qir("static")
-        one = counts_for(text, "threaded", jobs=1, sampling="never")
-        many = counts_for(text, "threaded", jobs=4, sampling="never")
-        assert one.counts == many.counts
 
     def test_module_level_wrapper_accepts_scheduler(self):
         result = run_shots(
             bell_qir("static"), shots=50, seed=5,
-            scheduler="threaded", jobs=2, sampling="never",
+            scheduler="process", jobs=2, sampling="never",
         )
         assert sum(result.counts.values()) == 50
 
@@ -392,72 +394,6 @@ class TestAutoSchedulerObservability:
         assert not any(k.startswith("runtime.scheduler.auto") for k in counters)
 
 
-class TestThreadedResilience:
-    """Satellite: fault injection / retry / fallback under concurrency."""
-
-    def test_poisoned_shots_fail_identically_to_serial(self):
-        plan = FaultPlan.poison([3, 9, 17], site="gate")
-        kwargs = dict(
-            shots=40, fault_plan=plan, retry=RetryPolicy(max_attempts=1),
-        )
-        threaded = QirRuntime(seed=1).run_shots(
-            bell_qir("static"), scheduler="threaded", jobs=4, **kwargs
-        )
-        serial = QirRuntime(seed=1).run_shots(bell_qir("static"), **kwargs)
-
-        assert sorted(f.shot for f in threaded.failed_shots) == [3, 9, 17]
-        assert threaded.per_error_counts == {BackendFaultError.code: 3}
-        assert threaded.successful_shots == 37
-        assert sum(threaded.counts.values()) == 37
-        assert threaded.counts == serial.counts
-        assert not threaded.degraded
-
-    def test_transient_faults_recovered_by_retry(self):
-        plan = FaultPlan.poison([2, 11, 23], site="gate", failures=1)
-        result = QirRuntime(seed=1).run_shots(
-            bell_qir("static"), shots=40,
-            scheduler="threaded", jobs=4,
-            fault_plan=plan, retry=RetryPolicy(max_attempts=3),
-        )
-        assert result.successful_shots == 40
-        assert not result.failed_shots
-        assert result.retried_shots == 3
-
-    def test_fallback_demotes_exactly_once_under_concurrency(self):
-        observer = Observer()
-        plan = FaultPlan(rules=(FaultRule(site="gate", backend="statevector"),))
-        chain = FallbackChain(["statevector", "stabilizer"], demote_after=1)
-        rt = QirRuntime(seed=2, observer=observer)
-        result = rt.run_shots(
-            ghz_qir(3), shots=120,
-            scheduler="threaded", jobs=4,
-            fault_plan=plan, fallback=chain, retry=RetryPolicy(max_attempts=2),
-        )
-        assert result.degraded
-        assert result.successful_shots == 120
-        # Every shot replayed onto the demoted rung; the ladder moved once.
-        assert result.backend_shot_counts == {"stabilizer": 120}
-        assert len(result.fallback_history) == 1
-        assert observer.metrics.value("resilience.demotions") == 1
-
-    def test_no_double_counting_under_concurrency(self):
-        plan = FaultPlan.random(probability=0.2, seed=5, site="gate")
-        result = QirRuntime(seed=7).run_shots(
-            bell_qir("static"), shots=100,
-            scheduler="threaded", jobs=6,
-            fault_plan=plan, retry=RetryPolicy(max_attempts=1),
-        )
-        assert result.successful_shots + len(result.failed_shots) == 100
-        assert sum(result.counts.values()) == result.successful_shots
-        assert sum(result.per_error_counts.values()) == len(result.failed_shots)
-
-    def test_counts_keys_stay_sorted(self):
-        result = QirRuntime(seed=4).run_shots(
-            qft_qir(3), shots=150, scheduler="threaded", jobs=3, sampling="never"
-        )
-        assert list(result.counts) == sorted(result.counts)
-
-
 class TestProcessScheduler:
     """Tentpole: worker processes over serialized plans, bit-identical to
     serial for a fixed seed."""
@@ -490,8 +426,7 @@ class TestProcessScheduler:
         assert auto.counts == serial.counts
 
     def test_one_job_degrades_to_serial_loop(self):
-        # get_scheduler mirrors the threaded convention (jobs=1 still gets
-        # a 2-worker pool); a directly built 1-worker scheduler skips the
+        # get_scheduler gives jobs=1 a 2-worker pool; a directly built 1-worker scheduler skips the
         # pool entirely and reports the serial loop it actually ran.
         from repro.runtime import ProcessScheduler
 
@@ -568,16 +503,11 @@ class TestProcessScheduler:
 
         assert counts_with("spawn") == counts_with("fork")
 
-    def test_partition_covers_every_shot_exactly_once(self):
-        from repro.runtime import partition_shots
-
-        for shots, workers in [(10, 3), (2, 8), (7, 7), (100, 4), (1, 1)]:
-            chunks = partition_shots(shots, workers)
-            covered = [s for start, stop in chunks for s in range(start, stop)]
-            assert covered == list(range(shots))
-            sizes = [stop - start for start, stop in chunks]
-            assert max(sizes) - min(sizes) <= 1
-        assert partition_shots(0, 4) == []
+    def test_counts_keys_stay_sorted(self):
+        result = QirRuntime(seed=4).run_shots(
+            qft_qir(3), shots=150, scheduler="process", jobs=3, sampling="never"
+        )
+        assert list(result.counts) == sorted(result.counts)
 
     def test_process_chunk_metrics_and_worker_spans(self):
         from repro.runtime import guided_chunks

@@ -157,7 +157,7 @@ class TestFastpathMeasurementCaching:
         observer = Observer()
         rt = QirRuntime(seed=7, observer=observer)
         text = ghz_qir(3)
-        measure_fastpath_speedup(text, shots=20, repeats=3, runtime=rt)
+        measure_fastpath_speedup(text, shots=20, rounds=3, runtime=rt)
 
         baseline = Observer()
         parse_assembly(text, observer=baseline)

@@ -1,5 +1,5 @@
 """Worker supervision: deadlines, crash/hang/IPC chaos, redispatch,
-and the process -> threaded -> serial circuit breaker.
+and the process -> serial circuit breaker.
 
 Every chaos scenario asserts the tentpole invariant: because per-shot
 seeds are pure functions of ``(root, shot, attempt)``, a run that loses
@@ -27,12 +27,13 @@ from repro.resilience import (
 from repro.runtime import (
     PoolStartupError,
     QirRuntime,
+    SchedulerExhaustedError,
     SupervisionRecord,
     WorkerCrashError,
     WorkerTimeoutError,
     get_scheduler,
 )
-from repro.runtime.schedulers import ProcessScheduler
+from repro.runtime.schedulers import ProcessScheduler, ShotTask
 from repro.workloads.qir_programs import bell_qir, reset_chain_qir
 
 PROGRAM = reset_chain_qir(2, rounds=2)
@@ -44,7 +45,7 @@ def run(scheduler, specs=None, *, seed=7, shots=12, jobs=4, **kwargs):
     fault_plan = FaultPlan.parse(specs, seed=0) if specs else None
     return rt.run_shots(
         PROGRAM, shots=shots, scheduler=scheduler,
-        jobs=(jobs if scheduler != "serial" else 1),
+        jobs=(jobs if scheduler == "process" else 1),
         fault_plan=fault_plan, **kwargs,
     )
 
@@ -141,14 +142,29 @@ class TestWorkerCrash:
         sup = result.supervision
         assert sup.state == "demoted"
         assert sup.breaker_tripped
-        assert sup.demoted_to == "threaded"
+        assert sup.demoted_to == "serial"
         assert result.degraded
-        assert any(
-            "scheduler:process -> scheduler:threaded" in entry
-            for entry in result.fallback_history
-        )
-        assert WorkerCrashError.code in result.fallback_history[-1]
+        # One scheduler demotion, straight to the serial loop.
+        demotions = [
+            e for e in result.fallback_history if e.startswith("scheduler:")
+        ]
+        assert demotions == [
+            f"scheduler:process -> scheduler:serial (after {WorkerCrashError.code}: "
+            f"{sup.worker_failures} worker failure(s) in {sup.failed_rounds} round(s))"
+        ]
         assert observer.metrics.value("scheduler.worker.breaker_trip") == 1
+
+    def test_serial_rung_failure_exhausts_the_ladder(self, monkeypatch):
+        # Workers run chunks without ShotTask.run_one; only the demoted
+        # serial rung calls it, so this breaks exactly that rung.
+        def broken(self, shot):
+            raise RuntimeError("serial rung down")
+
+        monkeypatch.setattr(ShotTask, "run_one", broken)
+        with pytest.raises(SchedulerExhaustedError) as raised:
+            run("process", ["worker_crash,p=1.0"], jobs=2, max_worker_failures=1)
+        assert "process and serial schedulers both failed" in str(raised.value)
+        assert "serial rung down" in str(raised.value)
 
     def test_supervisor_span_is_traced(self):
         observer = Observer()
@@ -259,7 +275,7 @@ class TestSupervisionConfiguration:
         assert scheduler.worker_timeout == 2.5
         assert scheduler.max_worker_failures == 5
 
-    @pytest.mark.parametrize("name", ["serial", "threaded", "batched"])
+    @pytest.mark.parametrize("name", ["auto", "serial", "batched"])
     def test_supervision_options_rejected_off_process(self, name):
         with pytest.raises(ValueError, match="process scheduler"):
             get_scheduler(name, jobs=1, worker_timeout=1.0)
@@ -290,8 +306,8 @@ class TestSupervisionConfiguration:
         assert result.supervision is None
 
     def test_in_process_schedulers_have_no_supervision(self):
-        result = run("threaded", jobs=2, sampling="never")
-        assert result.supervision is None
+        for name in ("auto", "serial", "batched"):
+            assert run(name, sampling="never").supervision is None
 
 
 class TestSupervisionRecord:
@@ -300,7 +316,7 @@ class TestSupervisionRecord:
         assert record.state == "healthy"
         record.crashes = 1
         assert record.state == "degraded"
-        record.demoted_to = "threaded"
+        record.demoted_to = "serial"
         assert record.state == "demoted"
 
     def test_summary_shape(self):

@@ -8,11 +8,11 @@ Covers the three specialization tiers end to end:
   matches per-gate evolution (up to global phase), and routed plans keep
   bit-identical histograms;
 * schedulers: fused counts equal the unfused serial reference across
-  serial / threaded / batched / process for a fixed seed;
+  serial / auto / batched / process for a fixed seed;
 * the cached sampling distribution: wire round-trip, fail-closed decode
   of wrong versions and corrupt blocks, disk-cache verify deletion, and
   warm-serve bit-identity;
-* the 0.0-not-inf convention on both comparison classes.
+* the 0.0-not-inf convention on both comparison harnesses.
 """
 
 import json
@@ -26,11 +26,7 @@ from repro.frontend.exporter import export_circuit_text
 from repro.llvmir.parser import parse_assembly
 from repro.obs.observer import Observer
 from repro.runtime import QirRuntime, QirSession
-from repro.runtime.execute import (
-    DistributionComparison,
-    FusionComparison,
-    measure_fusion_speedup,
-)
+from repro.runtime.execute import measure_fusion_speedup
 from repro.runtime.plan import (
     PLAN_WIRE_VERSION,
     ExecutionPlan,
@@ -150,10 +146,10 @@ def test_rotation_ladder_coalesces_into_few_kernels():
 def test_fused_counts_match_unfused_serial_across_schedulers(text):
     shots = 24
     reference = QirRuntime(seed=SEED, fusion=False).run_shots(
-        text, shots=shots, sampling="never"
+        text, shots=shots, sampling="never", scheduler="serial"
     )
     for scheduler, jobs in [
-        ("serial", 1), ("threaded", 2), ("batched", 1), ("process", 2),
+        ("serial", 1), ("auto", 1), ("batched", 1), ("process", 2),
     ]:
         result = QirRuntime(seed=SEED, fusion=True).run_shots(
             text, shots=shots, sampling="never",
@@ -304,34 +300,72 @@ def test_distribution_hit_miss_counters():
 
 # -- 0.0-not-inf convention ---------------------------------------------------
 
-def test_zero_duration_fusion_comparison_reports_none_not_inf():
-    comparison = FusionComparison(
-        shots=8, repeats=1, fused_seconds=0.0, unfused_seconds=0.1,
-        kernels=1, source_gates=4,
-    )
-    assert comparison.speedup is None
-    assert comparison.fused_shots_per_second == 0.0
-    assert comparison.unfused_shots_per_second == 80.0
-    flipped = FusionComparison(
-        shots=8, repeats=1, fused_seconds=0.1, unfused_seconds=0.0,
-        kernels=1, source_gates=4,
-    )
-    assert flipped.unfused_shots_per_second == 0.0
-    assert flipped.speedup == 0.0
+def _zero_duration_arms(monkeypatch, slow_arm):
+    """Time the harness arms on a fake clock: ``slow_arm`` takes exactly
+    0.1 s per round, every other arm takes 0.0 s (below clock resolution)."""
+    import sys
+
+    from repro.obs.snapshot import measure_interleaved
+
+    execute_mod = sys.modules["repro.runtime.execute"]
+
+    now = [0.0]
+
+    def clock():
+        value, now[0] = now[0], 0.0
+        return value
+
+    def timed(name, fn):
+        def run():
+            fn()
+            if name == slow_arm:
+                now[0] = 0.1
+        return run
+
+    def fake_interleaved(arms, rounds=5, warmup=1):
+        # Warm up on the plain arms so no stale tick reaches the clock.
+        for _ in range(warmup):
+            for fn in arms.values():
+                fn()
+        return measure_interleaved(
+            {name: timed(name, fn) for name, fn in arms.items()},
+            rounds=rounds, warmup=0, clock=clock,
+        )
+
+    monkeypatch.setattr(execute_mod, "measure_interleaved", fake_interleaved)
 
 
-def test_zero_duration_distribution_comparison_reports_none_not_inf():
-    comparison = DistributionComparison(
-        shots=8, repeats=1, warm_seconds=0.0, cold_seconds=0.1
-    )
-    assert comparison.speedup is None
-    assert comparison.warm_shots_per_second == 0.0
-    assert comparison.cold_shots_per_second == 80.0
-    flipped = DistributionComparison(
-        shots=8, repeats=1, warm_seconds=0.1, cold_seconds=0.0
-    )
-    assert flipped.cold_shots_per_second == 0.0
-    assert flipped.speedup == 0.0
+def test_zero_duration_fusion_comparison_reports_none_not_inf(monkeypatch):
+    from repro.obs.snapshot import median_ratio
+    from repro.tools.qir_bench import _shots_per_second
+
+    ladder = rotation_ladder_qir(2, depth=8)
+    _zero_duration_arms(monkeypatch, slow_arm="unfused")
+    stats = measure_fusion_speedup(ladder, shots=8, rounds=1)
+    assert median_ratio(stats["unfused"], stats["fused"]) is None
+    assert _shots_per_second(8, stats["fused"]) == 0.0
+    assert _shots_per_second(8, stats["unfused"]) == 80.0
+    _zero_duration_arms(monkeypatch, slow_arm="fused")
+    flipped = measure_fusion_speedup(ladder, shots=8, rounds=1)
+    assert _shots_per_second(8, flipped["unfused"]) == 0.0
+    assert median_ratio(flipped["unfused"], flipped["fused"]) == 0.0
+
+
+def test_zero_duration_distribution_comparison_reports_none_not_inf(monkeypatch):
+    from repro.obs.snapshot import median_ratio
+    from repro.runtime.execute import measure_distribution_speedup
+    from repro.tools.qir_bench import _shots_per_second
+
+    ghz = ghz_qir(3, addressing="static")
+    _zero_duration_arms(monkeypatch, slow_arm="cold")
+    stats = measure_distribution_speedup(ghz, shots=8, rounds=1)
+    assert median_ratio(stats["cold"], stats["warm"]) is None
+    assert _shots_per_second(8, stats["warm"]) == 0.0
+    assert _shots_per_second(8, stats["cold"]) == 80.0
+    _zero_duration_arms(monkeypatch, slow_arm="warm")
+    flipped = measure_distribution_speedup(ghz, shots=8, rounds=1)
+    assert _shots_per_second(8, flipped["cold"]) == 0.0
+    assert median_ratio(flipped["cold"], flipped["warm"]) == 0.0
 
 
 def test_measure_fusion_speedup_rejects_unspecializable_programs():
@@ -340,4 +374,26 @@ def test_measure_fusion_speedup_rejects_unspecializable_programs():
     from repro.workloads.qir_programs import counted_loop_qir
 
     with pytest.raises(ValueError, match="not specializable"):
-        measure_fusion_speedup(counted_loop_qir(4), shots=4, repeats=1)
+        measure_fusion_speedup(counted_loop_qir(4), shots=4, rounds=1)
+
+
+def test_speedup_harness_arms_run_the_serial_interpreter(monkeypatch):
+    # The per-shot arms must time the serial per-shot interpreter, not
+    # whatever tier the default scheduler would pick.
+    from repro.runtime.execute import measure_fastpath_speedup
+
+    runs = []
+    run_shots = QirRuntime.run_shots
+
+    def spy(self, *args, **kwargs):
+        result = run_shots(self, *args, **kwargs)
+        runs.append((result.used_fast_path, result.scheduler, self.fusion))
+        return result
+
+    monkeypatch.setattr(QirRuntime, "run_shots", spy)
+    measure_fusion_speedup(rotation_ladder_qir(2, depth=8), shots=4, rounds=1)
+    assert set(runs) == {(False, "serial", True), (False, "serial", False)}
+    runs.clear()
+    measure_fastpath_speedup(ghz_qir(3), shots=4, rounds=1)
+    assert any(fast for fast, _, _ in runs)
+    assert {scheduler for fast, scheduler, _ in runs if not fast} == {"serial"}
