@@ -25,72 +25,89 @@ See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
 reproduced experiments.
 """
 
-from repro.circuit import Circuit, run_circuit, statevector_of
-from repro.frontend import (
-    export_circuit,
-    export_circuit_text,
-    import_circuit,
-    parse_base_profile,
-)
-from repro.llvmir import parse_assembly, print_module, verify_module
-from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer, Tracer, render_profile
-from repro.qasm import circuit_to_qasm2, parse_qasm2, parse_qasm3
-from repro.qir import (
-    AdaptiveProfile,
-    BaseProfile,
-    BasicQisBuilder,
-    FullProfile,
-    SimpleModule,
-    validate_profile,
-)
-from repro.resilience import FallbackChain, FaultPlan, RetryPolicy
-from repro.runtime import QirRuntime, ShotsResult, execute, run_shots
-from repro.sim import NoiseModel, StabilizerSimulator, StatevectorSimulator
-from repro.hybrid import DeviceModel, check_feasibility, partition_function
-from repro.compiler import CompilationResult, Target, compile_program
+import importlib
+import sys
+
+#: Where each public name is defined (its keys, in order, are ``__all__``).
+#: Nothing is imported until a name is first read, so ``import repro`` (and
+#: every ``repro.*`` tool) pays only for the subpackages it actually uses.
+_EXPORTS = {
+    "Circuit": "repro.circuit",
+    "run_circuit": "repro.circuit",
+    "statevector_of": "repro.circuit",
+    "export_circuit": "repro.frontend",
+    "export_circuit_text": "repro.frontend",
+    "import_circuit": "repro.frontend",
+    "parse_base_profile": "repro.frontend",
+    "parse_assembly": "repro.llvmir",
+    "print_module": "repro.llvmir",
+    "verify_module": "repro.llvmir",
+    "NULL_OBSERVER": "repro.obs",
+    "MetricsRegistry": "repro.obs",
+    "Observer": "repro.obs",
+    "Tracer": "repro.obs",
+    "render_profile": "repro.obs",
+    "circuit_to_qasm2": "repro.qasm",
+    "parse_qasm2": "repro.qasm",
+    "parse_qasm3": "repro.qasm",
+    "AdaptiveProfile": "repro.qir",
+    "BaseProfile": "repro.qir",
+    "BasicQisBuilder": "repro.qir",
+    "FullProfile": "repro.qir",
+    "SimpleModule": "repro.qir",
+    "validate_profile": "repro.qir",
+    "QirRuntime": "repro.runtime",
+    "ShotsResult": "repro.runtime",
+    "execute": "repro.runtime",
+    "run_shots": "repro.runtime",
+    "FallbackChain": "repro.resilience",
+    "FaultPlan": "repro.resilience",
+    "RetryPolicy": "repro.resilience",
+    "NoiseModel": "repro.sim",
+    "StabilizerSimulator": "repro.sim",
+    "StatevectorSimulator": "repro.sim",
+    "DeviceModel": "repro.hybrid",
+    "check_feasibility": "repro.hybrid",
+    "partition_function": "repro.hybrid",
+    "CompilationResult": "repro.compiler",
+    "Target": "repro.compiler",
+    "compile_program": "repro.compiler",
+}
+
+
+def _lazy_exports(package, exports):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a lazily exporting package.
+
+    ``__getattr__`` imports the module *exports* maps a name to, caches
+    the value in the package namespace (so the hook runs once per name)
+    and returns it; any other public name is tried as a subpackage or
+    submodule of *package*.  Unknown names raise ``AttributeError``.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        module = exports.get(name)
+        if module is not None:
+            value = getattr(importlib.import_module(module), name)
+            namespace[name] = value
+            return value
+        if not name.startswith("_"):
+            qualified = f"{package}.{name}"
+            try:
+                return importlib.import_module(qualified)
+            except ModuleNotFoundError as exc:
+                if exc.name != qualified:
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Circuit",
-    "run_circuit",
-    "statevector_of",
-    "export_circuit",
-    "export_circuit_text",
-    "import_circuit",
-    "parse_base_profile",
-    "parse_assembly",
-    "print_module",
-    "verify_module",
-    "NULL_OBSERVER",
-    "MetricsRegistry",
-    "Observer",
-    "Tracer",
-    "render_profile",
-    "circuit_to_qasm2",
-    "parse_qasm2",
-    "parse_qasm3",
-    "AdaptiveProfile",
-    "BaseProfile",
-    "BasicQisBuilder",
-    "FullProfile",
-    "SimpleModule",
-    "validate_profile",
-    "QirRuntime",
-    "ShotsResult",
-    "execute",
-    "run_shots",
-    "FallbackChain",
-    "FaultPlan",
-    "RetryPolicy",
-    "NoiseModel",
-    "StabilizerSimulator",
-    "StatevectorSimulator",
-    "DeviceModel",
-    "check_feasibility",
-    "partition_function",
-    "CompilationResult",
-    "Target",
-    "compile_program",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Set
 
 from repro.llvmir.block import BasicBlock
 from repro.llvmir.function import Function
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def cfg_graph(fn: Function) -> "nx.DiGraph":
     """Build a networkx digraph over the function's basic blocks."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for block in fn.blocks:
         graph.add_node(block)

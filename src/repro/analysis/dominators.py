@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from repro.analysis.cfg import cfg_graph
 from repro.llvmir.block import BasicBlock
 from repro.llvmir.function import Function
@@ -15,6 +13,8 @@ from repro.llvmir.instructions import Instruction
 
 class DominatorTree:
     def __init__(self, fn: Function):
+        import networkx as nx
+
         self.function = fn
         self.graph = cfg_graph(fn)
         entry = fn.entry_block

@@ -40,105 +40,62 @@ Everything here is dependency-free (stdlib only) so the hot paths it
 instruments never pay an import tax.
 """
 
-from repro.obs.ledger import (
-    LEDGER_ENV,
-    LedgerError,
-    RunLedger,
-    RunRecord,
-    ledger_dir_from_env,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_label_value,
-    metric_key,
-    openmetrics_name,
-    parse_metric_key,
-)
-from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer, as_observer
-from repro.obs.runctx import RunContext, is_run_id, new_run_id
-from repro.obs.profile import render_profile
-from repro.obs.regress import (
-    EXIT_REGRESSION,
-    RecordDelta,
-    RegressionReport,
-    diff_snapshots,
-)
-from repro.obs.snapshot import (
-    SCHEMA_VERSION,
-    BenchRecord,
-    BenchSnapshot,
-    TimingStats,
-    environment_fingerprint,
-    measure,
-)
-from repro.obs.tracer import Span, Tracer
-from repro.obs.traceview import Trace, TraceError, TraceSpan, ValidationIssue
-from repro.obs.analytics import (
-    NameRollup,
-    PathStep,
-    TraceDiff,
-    TraceSummary,
-    UtilizationReport,
-    WorkerStats,
-    collapsed_stacks,
-    critical_path,
-    diff_traces,
-    rollup,
-    summarize,
-    worker_utilization,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LEDGER_ENV",
-    "LedgerError",
-    "RunLedger",
-    "RunRecord",
-    "ledger_dir_from_env",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "escape_label_value",
-    "metric_key",
-    "openmetrics_name",
-    "parse_metric_key",
-    "RunContext",
-    "is_run_id",
-    "new_run_id",
-    "NULL_OBSERVER",
-    "NullObserver",
-    "Observer",
-    "as_observer",
-    "render_profile",
-    "EXIT_REGRESSION",
-    "RecordDelta",
-    "RegressionReport",
-    "diff_snapshots",
-    "SCHEMA_VERSION",
-    "BenchRecord",
-    "BenchSnapshot",
-    "TimingStats",
-    "environment_fingerprint",
-    "measure",
-    "Span",
-    "Tracer",
-    "Trace",
-    "TraceError",
-    "TraceSpan",
-    "ValidationIssue",
-    "NameRollup",
-    "PathStep",
-    "TraceDiff",
-    "TraceSummary",
-    "UtilizationReport",
-    "WorkerStats",
-    "collapsed_stacks",
-    "critical_path",
-    "diff_traces",
-    "rollup",
-    "summarize",
-    "worker_utilization",
-]
+#: Where each public name is defined (its keys, in order, are ``__all__``);
+#: see :func:`repro._lazy_exports`.
+_EXPORTS = {
+    "LEDGER_ENV": "repro.obs.ledger",
+    "LedgerError": "repro.obs.ledger",
+    "RunLedger": "repro.obs.ledger",
+    "RunRecord": "repro.obs.ledger",
+    "ledger_dir_from_env": "repro.obs.ledger",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "escape_label_value": "repro.obs.metrics",
+    "metric_key": "repro.obs.metrics",
+    "openmetrics_name": "repro.obs.metrics",
+    "parse_metric_key": "repro.obs.metrics",
+    "RunContext": "repro.obs.runctx",
+    "is_run_id": "repro.obs.runctx",
+    "new_run_id": "repro.obs.runctx",
+    "NULL_OBSERVER": "repro.obs.observer",
+    "NullObserver": "repro.obs.observer",
+    "Observer": "repro.obs.observer",
+    "as_observer": "repro.obs.observer",
+    "render_profile": "repro.obs.profile",
+    "EXIT_REGRESSION": "repro.obs.regress",
+    "RecordDelta": "repro.obs.regress",
+    "RegressionReport": "repro.obs.regress",
+    "diff_snapshots": "repro.obs.regress",
+    "SCHEMA_VERSION": "repro.obs.snapshot",
+    "BenchRecord": "repro.obs.snapshot",
+    "BenchSnapshot": "repro.obs.snapshot",
+    "TimingStats": "repro.obs.snapshot",
+    "environment_fingerprint": "repro.obs.snapshot",
+    "measure": "repro.obs.snapshot",
+    "Span": "repro.obs.tracer",
+    "Tracer": "repro.obs.tracer",
+    "Trace": "repro.obs.traceview",
+    "TraceError": "repro.obs.traceview",
+    "TraceSpan": "repro.obs.traceview",
+    "ValidationIssue": "repro.obs.traceview",
+    "NameRollup": "repro.obs.analytics",
+    "PathStep": "repro.obs.analytics",
+    "TraceDiff": "repro.obs.analytics",
+    "TraceSummary": "repro.obs.analytics",
+    "UtilizationReport": "repro.obs.analytics",
+    "WorkerStats": "repro.obs.analytics",
+    "collapsed_stacks": "repro.obs.analytics",
+    "critical_path": "repro.obs.analytics",
+    "diff_traces": "repro.obs.analytics",
+    "rollup": "repro.obs.analytics",
+    "summarize": "repro.obs.analytics",
+    "worker_utilization": "repro.obs.analytics",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

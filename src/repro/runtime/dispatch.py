@@ -108,7 +108,8 @@ class QueueStats:
 
     #: Distinct chunks the shot range was split into.
     chunks: int = 0
-    #: Chunk dispatches (pops), including re-dispatches of requeued chunks.
+    #: Chunk dispatches (chunks taken in waves), including re-dispatches
+    #: of requeued chunks.
     dispatched: int = 0
     #: Lost chunks returned to the queue (one per requeue).
     refills: int = 0
@@ -143,14 +144,6 @@ class ChunkQueue:
         return cls(
             [Chunk(id=i, start=a, stop=b) for i, (a, b) in enumerate(ranges)]
         )
-
-    def pop(self) -> Optional[Chunk]:
-        """Next chunk to run, or ``None`` when the queue is drained."""
-        with self._lock:
-            if not self._pending:
-                return None
-            self.stats.dispatched += 1
-            return self._pending.popleft()
 
     def take_all(self) -> List[Chunk]:
         """Drain every pending chunk at once (one dispatch wave)."""

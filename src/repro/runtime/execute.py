@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.llvmir.module import Module
 from repro.llvmir.parser import parse_assembly
-from repro.obs.observer import as_observer
+from repro.obs.observer import Observer, as_observer
 from repro.obs.runctx import RunContext
 from repro.obs.snapshot import TimingStats, measure_interleaved
 from repro.resilience.fallback import BackendLevel, FallbackChain, program_is_clifford
@@ -328,6 +328,9 @@ class QirRuntime:
         if plan is not None and entry is None:
             entry = plan.entry
         module = _as_module(program)
+        # What a run learns about the program is memoized on the plan only
+        # when the run executed the plan's own entry point.
+        memo = plan if plan is not None and entry == plan.entry else None
 
         resilient = (
             retry is not None
@@ -371,8 +374,8 @@ class QirRuntime:
             # sampling alone.  The reserved fast-path sequence spawned
             # from this run's root is the exact generator the cold path
             # would have sampled with, so warm counts are bit-identical.
-            if plan is not None and self.dist_cache:
-                distribution = plan.distribution
+            if memo is not None and self.dist_cache:
+                distribution = memo.distribution
                 if distribution is not None:
                     if obs.enabled:
                         obs.inc("cache.distribution.hit")
@@ -388,12 +391,12 @@ class QirRuntime:
                 if obs.enabled:
                     obs.inc("cache.distribution.miss")
             try:
-                capture = plan is not None and self.dist_cache
+                capture = memo is not None and self.dist_cache
                 counts, distribution = self._run_shots_sampled(
                     module, shots, entry, fastpath_sequence(root), capture
                 )
-                if distribution is not None and plan is not None:
-                    plan.attach_distribution(distribution)
+                if distribution is not None:
+                    memo.attach_distribution(distribution)
                 return ShotsResult(
                     counts=_sorted_counts(counts), shots=shots, used_fast_path=True
                 )
@@ -456,7 +459,7 @@ class QirRuntime:
             schedule=(
                 plan.fused if plan is not None and self.fusion else None
             ),
-            plan=plan if plan is not None and entry == plan.entry else None,
+            plan=memo,
         )
         outcomes = sched.run(task)
         effective = getattr(sched, "effective", sched.name)
@@ -516,21 +519,23 @@ def measure_fastpath_speedup(
     shots: int = 200,
     rounds: int = 5,
     seed: Optional[int] = None,
-    runtime: Optional[QirRuntime] = None,
+    observer: Optional[Observer] = None,
 ) -> Dict[str, TimingStats]:
     """Interleaved fast-path vs per-shot timing (arms ``fastpath``, ``per_shot``).
 
     The ``per_shot`` arm is the serial per-shot interpreter (the
     qir-runner model), pinned so the default scheduler's batched tier
-    cannot stand in for it.  The program is compiled once through a
-    :class:`~repro.runtime.session.QirSession`, so rounds measure pure
-    execution cost -- the parse counters stay flat across them.  Raises
-    :class:`FastPathUnsupported` when the program cannot take the fast
-    path at all.
+    cannot stand in for it.  Both arms run with ``dist_cache`` off, so
+    every ``fastpath`` round re-runs the deferred-measurement evolution
+    instead of serving a memoized distribution.  The program is compiled
+    once through a :class:`~repro.runtime.session.QirSession`, so rounds
+    measure pure execution cost -- the parse counters stay flat across
+    them.  Raises :class:`FastPathUnsupported` when the program cannot
+    take the fast path at all.
     """
     from repro.runtime.session import QirSession
 
-    rt = runtime if runtime is not None else QirRuntime(seed=seed)
+    rt = QirRuntime(seed=seed, dist_cache=False, observer=observer)
     plan = QirSession(runtime=rt).compile(program)
     return measure_interleaved(
         {

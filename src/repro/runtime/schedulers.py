@@ -46,12 +46,9 @@ shots in other workers may still have run on the original rung.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
@@ -89,6 +86,8 @@ from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.runtime.plan import ExecutionPlan
 
 SCHEDULERS = ("auto", "serial", "batched", "process")
@@ -1000,6 +999,8 @@ def _default_start_method() -> str:
     """Prefer ``fork`` where available (no per-worker interpreter boot or
     re-import cost); ``spawn`` elsewhere.  Workers never rely on inherited
     state either way -- everything arrives via the pickled chunk."""
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return "spawn"
@@ -1130,6 +1131,9 @@ class ProcessScheduler:
         return None
 
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             context = multiprocessing.get_context(self.start_method)
             return ProcessPoolExecutor(max_workers=workers, mp_context=context)
@@ -1184,6 +1188,8 @@ class ProcessScheduler:
         heartbeat = None
         beat_interval = 0.0
         if timeout is not None:
+            import multiprocessing
+
             try:
                 manager = multiprocessing.get_context(self.start_method).Manager()
                 heartbeat = manager.dict()
@@ -1277,6 +1283,9 @@ class ProcessScheduler:
         start, or beat for ``timeout + STARTUP_GRACE``) catches the case
         where every process wedged before any chunk of the wave started.
         """
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+
         round_index = supervision.rounds - 1
         try:
             futures = {

@@ -155,9 +155,8 @@ class TestFastpathMeasurementCaching:
         # its timed repetitions never touch the frontend: the parse
         # counters match exactly one observed parse of the same text.
         observer = Observer()
-        rt = QirRuntime(seed=7, observer=observer)
         text = ghz_qir(3)
-        measure_fastpath_speedup(text, shots=20, rounds=3, runtime=rt)
+        measure_fastpath_speedup(text, shots=20, rounds=3, seed=7, observer=observer)
 
         baseline = Observer()
         parse_assembly(text, observer=baseline)

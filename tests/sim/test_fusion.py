@@ -298,6 +298,40 @@ def test_distribution_hit_miss_counters():
     assert observer.metrics.value("cache.distribution.hit", 0) == 1
 
 
+TWO_ENTRY_PROGRAM = """
+define void @flip() #0 {
+entry:
+  call void @__quantum__qis__x__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+
+define void @idle() #0 {
+entry:
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+
+attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="1" }
+"""
+
+
+def test_memoized_distribution_serves_only_the_plans_entry():
+    plan = compile_plan(TWO_ENTRY_PROGRAM, entry="flip")
+    runtime = QirRuntime(seed=SEED)
+    assert runtime.run_shots(plan, shots=8).counts == {"1": 8}
+    assert plan.distribution is not None
+    other = runtime.run_shots(plan, shots=8, entry="idle")
+    assert not other.distribution_served
+    assert other.counts == {"0": 8}
+
+
 # -- 0.0-not-inf convention ---------------------------------------------------
 
 def _zero_duration_arms(monkeypatch, slow_arm):
@@ -385,15 +419,22 @@ def test_speedup_harness_arms_run_the_serial_interpreter(monkeypatch):
     runs = []
     run_shots = QirRuntime.run_shots
 
+    served = []
+
     def spy(self, *args, **kwargs):
         result = run_shots(self, *args, **kwargs)
         runs.append((result.used_fast_path, result.scheduler, self.fusion))
+        served.append(result.distribution_served)
         return result
 
     monkeypatch.setattr(QirRuntime, "run_shots", spy)
     measure_fusion_speedup(rotation_ladder_qir(2, depth=8), shots=4, rounds=1)
     assert set(runs) == {(False, "serial", True), (False, "serial", False)}
     runs.clear()
-    measure_fastpath_speedup(ghz_qir(3), shots=4, rounds=1)
+    served.clear()
+    # Several rounds: from round 2 on, a runtime with the distribution
+    # cache on would serve the fastpath arm from the memoized table.
+    measure_fastpath_speedup(ghz_qir(3, addressing="static"), shots=4, rounds=3)
     assert any(fast for fast, _, _ in runs)
     assert {scheduler for fast, scheduler, _ in runs if not fast} == {"serial"}
+    assert not any(served)

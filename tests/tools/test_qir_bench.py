@@ -50,10 +50,12 @@ class TestRun:
     def test_records_fastpath_speedup_ratio(self, snapshot_file):
         payload = json.loads(open(snapshot_file).read())
         by_name = {r["name"]: r for r in payload["records"]}
-        record = by_name["runtime.ex5.ghz10.fastpath_speedup"]
+        record = by_name["runtime.ex5.ghz10.fastpath_cold_speedup"]
         assert record["unit"] == "ratio"
         assert record["direction"] == "higher"
         assert record["value"] > 1.0  # sampling beats per-shot re-interpretation
+        assert by_name["runtime.ex5.ghz10.fastpath_cold_shots_per_second"]["value"] > 0
+        assert "runtime.ex5.ghz10.fastpath_speedup" not in by_name
 
     def test_records_scheduler_speedups(self, snapshot_file):
         # Acceptance: batched multi-shot evolution beats per-shot serial
